@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs every bench and captures results as BENCH_*.json in the output
-# directory (default: repo root), so successive PRs leave a perf trajectory.
+# directory (default: bench/results/, the committed latest point), so
+# successive PRs leave a perf trajectory.
 #
 #   bench/run_all.sh [--build-dir BUILD] [--out-dir OUT] [--quick] \
 #                    [--large] [--large-scale N] [--input FILE.xdg] \
@@ -28,7 +29,7 @@
 # a binary edge list passed via --input FILE.xdg, optionally --reorder'ed
 # by degree) plus bench_expander and bench_kernel with XD_KERNEL_LARGE=1
 # (the sharded-vs-shared delivery A/B on the 8M-edge graph, filtered to the
-# BM_Deliver* family), with results defaulting to bench/results/.
+# BM_Deliver* family).
 # XD_LARGE_SCALE (or --large-scale) overrides the 1M default scale.
 
 set -euo pipefail
@@ -79,9 +80,7 @@ if [[ -n "$LARGE_SCALE" && ! "$LARGE_SCALE" =~ ^[1-9][0-9]*$ ]]; then
   exit 1
 fi
 
-if [[ -z "$OUT_DIR" ]]; then
-  if [[ $LARGE -eq 1 ]]; then OUT_DIR=bench/results; else OUT_DIR=.; fi
-fi
+OUT_DIR=${OUT_DIR:-bench/results}
 mkdir -p "$OUT_DIR"
 
 # Trajectory archive: one timestamped copy per produced JSON per run.

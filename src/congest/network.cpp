@@ -312,14 +312,13 @@ std::uint64_t Network::run_round(VertexProgram& program,
   }
 
   // Parallel executor: contiguous vertex ranges, one staging buffer per
-  // worker, run on the shared pool idiom (EpochScheduler::run_partitioned,
+  // worker, run on the shared worker pool (EpochScheduler::run_partitioned,
   // which also rethrows the first worker exception after its join barrier).
   // Merging buffers in worker order keeps each sender's messages contiguous
   // and in send order, which is all the canonical delivery sort needs for
-  // bit-identical results at any thread count.  Threads are spawned per
-  // phase (simple and correct); protocols with thousands of tiny rounds
-  // that want a persistent pool should drive phases serially or batch
-  // rounds -- revisit if a workload shows the spawn cost.
+  // bit-identical results at any thread count.  Each phase is one
+  // dispatch to the scheduler's persistent worker pool (a wake-up and a
+  // barrier, no thread spawn), so tiny rounds stay cheap.
   worker_bufs_.resize(static_cast<std::size_t>(workers));
 
   EpochScheduler::run_partitioned(

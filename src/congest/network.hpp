@@ -16,8 +16,8 @@
 /// Or, preferred for whole-protocol steps: implement a VertexProgram
 /// (engine.hpp) and call run_round(); the engine runs the send phase over
 /// all vertices, delivers, then runs the receive phase -- optionally on
-/// several threads (set_threads) with bit-identical results.  The phase
-/// threads use the same pool idiom as the component-level epoch scheduler
+/// several threads (set_threads) with bit-identical results.  The phases
+/// run on the same worker pool as the component-level epoch scheduler
 /// (scheduler.hpp), which parallelizes *across* networks of disjoint
 /// components; round charges for that case are documented in docs/rounds.md.
 ///

@@ -29,9 +29,10 @@ namespace xd::congest {
 
 namespace detail {
 
-/// Test hook: called with the worker index immediately before that worker's
-/// std::thread is constructed; a throwing hook simulates thread creation
-/// failing mid-loop (resource exhaustion).  Backed by the fault-plane
+/// Test hook: called with the worker index immediately before that worker
+/// slot is handed out to the pool; a throwing hook simulates the hand-off
+/// failing mid-loop (resource exhaustion) -- the dispatch waits for the
+/// slots already handed out, then rethrows.  Backed by the fault-plane
 /// registry's "sched.spawn" hook slot (util/fault_plane.hpp), so setting it
 /// is thread-safe; pass {} to reset.  The fault plane's own sched.* sites
 /// (sched.spawn / sched.stall / sched.throw) inject the same failures from
@@ -44,6 +45,14 @@ void set_spawn_fault_hook_for_testing(std::function<void(int)> hook);
 /// threads.  Work-sharing: workers pull the next unclaimed item index from
 /// a shared cursor, so one oversized component keeps the remaining workers
 /// busy on the rest of the level instead of idling behind it.
+///
+/// Every scheduler dispatches to one process-wide pool of parked worker
+/// threads, grown lazily to the widest epoch ever requested; an epoch
+/// costs a wake-up and a barrier, not a thread spawn and join.  The caller
+/// waits at the barrier and runs no items itself.  An epoch started from
+/// inside an item, or from a second host thread while the pool is busy,
+/// runs all its worker slots on the calling thread in slot order -- same
+/// results, by the determinism contract above.
 class EpochScheduler {
  public:
   explicit EpochScheduler(int threads = 1) { set_threads(threads); }
@@ -71,7 +80,7 @@ class EpochScheduler {
   /// into `workers` ranges.  This is the round engine's phase executor
   /// (Network::run_round): per-worker ranges with per-worker buffers,
   /// merged in worker order, keep delivery canonical.  Exposed here so the
-  /// engine and the scheduler share one pool idiom.
+  /// engine and the scheduler share one pool.
   static void run_partitioned(
       std::size_t n, int workers,
       const std::function<void(int, std::size_t, std::size_t)>& body);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "util/check.hpp"
 #include "util/fault_plane.hpp"
 
 namespace xd::serve {
@@ -19,6 +20,25 @@ std::uint64_t route_model_cost(const ComponentInfo& info,
   return 1 + std::uint64_t{depth} * std::bit_width(info.internal_edges + 1);
 }
 
+/// Holds a service's single-driver slot for one submit() / flush_report()
+/// call; entering while another thread holds it is a CheckError.
+class DriverGuard {
+ public:
+  explicit DriverGuard(std::atomic<bool>& in_use) : in_use_(in_use) {
+    const bool entered_alone =
+        !in_use_.exchange(true, std::memory_order_acquire);
+    XD_CHECK_MSG(entered_alone,
+                 "QueryService entered concurrently: one thread at a time "
+                 "may drive submit() / flush()");
+  }
+  ~DriverGuard() { in_use_.store(false, std::memory_order_release); }
+  DriverGuard(const DriverGuard&) = delete;
+  DriverGuard& operator=(const DriverGuard&) = delete;
+
+ private:
+  std::atomic<bool>& in_use_;
+};
+
 }  // namespace
 
 QueryService::QueryService(const PreparedArtifact& artifact,
@@ -32,6 +52,7 @@ QueryService::QueryService(const PreparedArtifact& artifact,
 }
 
 bool QueryService::submit(std::uint32_t client, const Query& q) {
+  const DriverGuard guard(in_use_);
   auto& stats = clients_[client];
   ++stats.submitted;
   if (pending_.size() >= prm_.max_pending) {
@@ -215,6 +236,7 @@ std::vector<QueryResult> QueryService::flush() {
 }
 
 FlushReport QueryService::flush_report() {
+  const DriverGuard guard(in_use_);
   FlushReport rep;
   if (pending_.empty()) return rep;  // no work: no charges, no fault dice
 

@@ -33,6 +33,7 @@
 /// back to a cheaper local summary (a component-local triangle count, a
 /// depth-sum route estimate).  ServiceHealth counts everything.
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -129,7 +130,9 @@ struct ClientStats {
 /// Executes query streams against one shared PreparedArtifact.  The
 /// artifact must outlive the service (the QueueArena keeps a pointer to
 /// its graph).  Not internally synchronized: one thread drives submit() /
-/// flush(); parallelism lives inside flush()'s Phase A.
+/// flush(); parallelism lives inside flush()'s Phase A.  The single-driver
+/// contract is checked -- a submit() or flush() that enters while another
+/// thread is inside either throws CheckError.
 class QueryService {
  public:
   QueryService(const PreparedArtifact& artifact, const ServiceParams& prm);
@@ -203,6 +206,7 @@ class QueryService {
   std::uint64_t total_rejected_ = 0;
   std::uint64_t flush_seq_ = 0;  ///< fault key coordinate per flush
   ServiceHealth health_;
+  std::atomic<bool> in_use_{false};  ///< a thread is in submit()/flush()
 };
 
 }  // namespace xd::serve

@@ -47,7 +47,7 @@ namespace xd {
 /// Site categories, one armed bit each (the prefix before the '.').
 enum class FaultCategory : int {
   kShard = 0,  ///< shard.* -- XDSB wire-frame faults
-  kSched = 1,  ///< sched.* -- worker spawn/stall/throw faults
+  kSched = 1,  ///< sched.* -- worker hand-off/stall/throw faults
   kIo = 2,     ///< io.*    -- FileBytes torn reads and bit flips
   kServe = 3,  ///< serve.* -- query-service flush failures
 };
@@ -102,7 +102,7 @@ class FaultPlane {
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
 
   /// Test hook at `site`: called synchronously wherever the site's layer
-  /// invokes call_hook (the scheduler's spawn loop).  Pass {} to clear.
+  /// invokes call_hook (the scheduler's worker hand-off).  Pass {} to clear.
   /// Setting a hook arms the site's category; thread-safe, unlike the bare
   /// global it replaced.
   void set_hook(std::string_view site, std::function<void(int)> hook);

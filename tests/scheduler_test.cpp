@@ -16,8 +16,17 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <tuple>
+
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include "congest/scheduler.hpp"
 #include "core/xd.hpp"
@@ -286,6 +295,150 @@ TEST(EpochScheduler, PartialSpawnFailureJoinsAlreadySpawnedWorkers) {
   // Workers 0 and 1 were spawned before the fault and joined before the
   // rethrow: their bodies ran to completion and their effects are visible.
   EXPECT_EQ(completed.load(), 2);
+}
+
+// ---------------------------------------------------- persistent worker pool
+
+/// The process's live thread count (`Threads:` in /proc/self/status), or -1
+/// where procfs is unavailable.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      int count = -1;
+      status >> count;
+      return count;
+    }
+  }
+  return -1;
+}
+
+TEST(EpochScheduler, PersistentPoolDoesNotGrowPerEpoch) {
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  const congest::EpochScheduler pool(4);
+  std::mutex mu;
+  std::set<long> tids;
+  std::atomic<std::size_t> ran{0};
+  constexpr int kEpochs = 10000;
+  for (int e = 0; e < kEpochs; ++e) {
+    pool.run(8, [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      const long tid = ::syscall(SYS_gettid);
+      const std::lock_guard<std::mutex> lock(mu);
+      tids.insert(tid);
+    });
+  }
+  EXPECT_EQ(ran.load(), 8u * kEpochs);
+  EXPECT_LE(process_threads(), before + 4);
+  // Every thread that ran an item is still alive, parked for the next
+  // epoch: a spawn-per-epoch pool would have exited all of them.
+  std::size_t exited = 0;
+  for (const long tid : tids) {
+    exited += std::filesystem::exists("/proc/self/task/" +
+                                      std::to_string(tid))
+                  ? 0
+                  : 1;
+  }
+  EXPECT_EQ(exited, 0u) << "of " << tids.size() << " worker threads";
+}
+
+/// Per-item values the nested and concurrent cases compare against serial.
+std::uint64_t item_value(std::size_t outer, std::size_t inner) {
+  Rng rng(outer * 1000 + inner);
+  return rng() ^ (outer * 0x9e3779b97f4a7c15ULL);
+}
+
+TEST(EpochScheduler, NestedEpochMatchesSerial) {
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 33;
+  std::vector<std::uint64_t> serial(kOuter * kInner);
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    for (std::size_t j = 0; j < kInner; ++j) {
+      serial[i * kInner + j] = item_value(i, j);
+    }
+  }
+  const congest::EpochScheduler outer(4);
+  const congest::EpochScheduler inner(4);
+  std::vector<std::uint64_t> nested(kOuter * kInner, 0);
+  outer.run(kOuter, [&](std::size_t i) {
+    inner.run(kInner, [&](std::size_t j) {
+      nested[i * kInner + j] = item_value(i, j);
+    });
+  });
+  EXPECT_EQ(nested, serial);
+
+  // The static partition nests the same way.
+  std::vector<std::uint64_t> partitioned(kOuter * kInner, 0);
+  congest::EpochScheduler::run_partitioned(
+      kOuter, 4, [&](int, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          congest::EpochScheduler::run_partitioned(
+              kInner, 3, [&](int, std::size_t jlo, std::size_t jhi) {
+                for (std::size_t j = jlo; j < jhi; ++j) {
+                  partitioned[i * kInner + j] = item_value(i, j);
+                }
+              });
+        }
+      });
+  EXPECT_EQ(partitioned, serial);
+}
+
+TEST(EpochScheduler, ConcurrentSchedulersOnTwoHostThreadsMatchSerial) {
+  constexpr std::size_t kEpochs = 2000;
+  constexpr std::size_t kItems = 24;
+  const auto drive = [](std::size_t salt, int threads) {
+    const congest::EpochScheduler pool(threads);
+    std::vector<std::uint64_t> out(kEpochs * kItems);
+    for (std::size_t e = 0; e < kEpochs; ++e) {
+      pool.run(kItems, [&](std::size_t i) {
+        out[e * kItems + i] = item_value(salt + e, i);
+      });
+    }
+    return out;
+  };
+  const auto serial_a = drive(1, 1);
+  const auto serial_b = drive(50000, 1);
+  std::vector<std::uint64_t> got_a;
+  std::vector<std::uint64_t> got_b;
+  std::thread ta([&] { got_a = drive(1, 4); });
+  std::thread tb([&] { got_b = drive(50000, 4); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(got_a, serial_a);
+  EXPECT_EQ(got_b, serial_b);
+}
+
+TEST(EpochScheduler, FailedEpochLeavesThePoolReadyForTheNext) {
+  const congest::EpochScheduler pool(4);
+  for (std::size_t k = 0; k < 5; ++k) {
+    std::vector<std::atomic<int>> hits(40);
+    EXPECT_THROW(pool.run(hits.size(),
+                          [&](std::size_t i) {
+                            hits[i].fetch_add(1);
+                            if (i == 7 * k) {
+                              throw std::runtime_error("epoch k failure");
+                            }
+                          }),
+                 std::runtime_error)
+        << "epoch " << k;
+    std::vector<std::atomic<int>> clean(40);
+    pool.run(clean.size(), [&](std::size_t i) { clean[i].fetch_add(1); });
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      ASSERT_EQ(clean[i].load(), 1) << "epoch " << k + 1 << " item " << i;
+    }
+  }
+  EXPECT_THROW(congest::EpochScheduler::run_partitioned(
+                   16, 4,
+                   [](int w, std::size_t, std::size_t) {
+                     if (w == 3) throw std::runtime_error("slot failure");
+                   }),
+               std::runtime_error);
+  std::atomic<int> slots{0};
+  congest::EpochScheduler::run_partitioned(
+      16, 4, [&](int, std::size_t, std::size_t) { slots.fetch_add(1); });
+  EXPECT_EQ(slots.load(), 4);
 }
 
 }  // namespace

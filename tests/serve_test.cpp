@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace xd::serve {
@@ -282,6 +285,88 @@ TEST(Serve, AnswersMatchTheArtifact) {
   }
   EXPECT_FALSE(rs[6].ok);  // out-of-range destination
   EXPECT_EQ(rs[6].rounds_charged, 1u);
+}
+
+// --------------------------------------------------------- single driver
+
+TEST(Serve, ConcurrentEntryIsACheckedError) {
+  const auto art = golden_artifact();
+  ServiceParams prm;
+  prm.threads = 2;
+  QueryService svc(art, prm);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(svc.submit(0, {QueryKind::kComponentOf, 1, 0, 0}));
+  }
+
+  // Park the driving thread inside flush(): the scheduler's hand-off hook
+  // runs on it mid-Phase A and waits until the intruder has tried to enter.
+  std::promise<void> inside;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> parked{false};
+  congest::detail::set_spawn_fault_hook_for_testing([&](int) {
+    if (!parked.exchange(true)) {
+      inside.set_value();
+      released.wait();
+    }
+  });
+  std::vector<QueryResult> driven;
+  std::thread driver([&] { driven = svc.flush(); });
+  inside.get_future().wait();
+  EXPECT_THROW(svc.submit(1, {QueryKind::kTriangleCount, 0, 0, 0}),
+               CheckError);
+  EXPECT_THROW((void)svc.flush(), CheckError);
+  release.set_value();
+  driver.join();
+  congest::detail::set_spawn_fault_hook_for_testing({});
+
+  // The rejected entries left no trace; the driver's flush completed and
+  // the service keeps working for the next single driver.
+  EXPECT_EQ(driven.size(), 4u);
+  EXPECT_EQ(svc.clients().count(1), 0u);
+  EXPECT_EQ(svc.pending(), 0u);
+  EXPECT_TRUE(svc.submit(1, {QueryKind::kTriangleCount, 0, 0, 0}));
+  EXPECT_EQ(svc.flush().size(), 1u);
+}
+
+TEST(Serve, TwoServicesOnTwoThreadsShareThePool) {
+  const auto art = golden_artifact();
+  const auto stream_a = mixed_stream(art, 300, 5);
+  const auto stream_b = mixed_stream(art, 300, 6);
+  ServiceParams base;
+  base.max_pending = 48;
+  base.max_batch = 16;
+
+  ServiceParams p1 = base;
+  p1.threads = 1;
+  QueryService seq_a(art, p1);
+  QueryService seq_b(art, p1);
+  const auto want_a = run_stream(seq_a, stream_a);
+  const auto want_b = run_stream(seq_b, stream_b);
+
+  ServiceParams p4 = base;
+  p4.threads = 4;
+  QueryService svc_a(art, p4);
+  QueryService svc_b(art, p4);
+  std::vector<QueryResult> got_a;
+  std::vector<QueryResult> got_b;
+  std::thread ta([&] { got_a = run_stream(svc_a, stream_a); });
+  std::thread tb([&] { got_b = run_stream(svc_b, stream_b); });
+  ta.join();
+  tb.join();
+
+  ASSERT_EQ(got_a.size(), want_a.size());
+  ASSERT_EQ(got_b.size(), want_b.size());
+  for (std::size_t i = 0; i < want_a.size(); ++i) {
+    expect_same(got_a[i], want_a[i], i);
+  }
+  for (std::size_t i = 0; i < want_b.size(); ++i) {
+    expect_same(got_b[i], want_b[i], i);
+  }
+  EXPECT_EQ(svc_a.ledger().rounds(), seq_a.ledger().rounds());
+  EXPECT_EQ(svc_b.ledger().rounds(), seq_b.ledger().rounds());
+  EXPECT_EQ(svc_a.ledger().messages(), seq_a.ledger().messages());
+  EXPECT_EQ(svc_b.ledger().messages(), seq_b.ledger().messages());
 }
 
 }  // namespace
