@@ -113,14 +113,15 @@ void stage_flood(const Graph& g, Kernel& kernel) {
 }
 
 /// Delivery only: staging happens outside the timed region, so the
-/// items/sec counter is pure message-delivery throughput.  This pair is the
-/// engine's acceptance metric (flat >= 2x seed on the 100k round).
+/// items/sec counter is pure message-delivery throughput of the one-shard
+/// plane (Network's default).  This pair is the engine's acceptance metric
+/// (flat >= 2x seed on the 100k round).
 void BM_DeliverFlat(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph& g = flood_graph(n);
   congest::RoundLedger ledger;
   congest::Network net(g, ledger, 3);
-  net.set_shards(1);  // shared arena even if XD_SHARDS leaks into the env
+  net.set_shards(1);  // one-shard plane even if XD_SHARDS leaks into the env
   for (auto _ : state) {
     state.PauseTiming();
     stage_flood(g, net);
@@ -132,7 +133,7 @@ void BM_DeliverFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_DeliverFlat)->Arg(10000)->Arg(100000)->UseRealTime();
 
-/// The sharded-vs-shared delivery A/B (args: vertices, shards).  Staging
+/// The S-shard vs one-shard delivery A/B (args: vertices, shards).  Staging
 /// happens outside the timed region like BM_DeliverFlat (the aggregation
 /// buffers fill at send time, which is the point of the plane); the timed
 /// exchange is the S x S buffer exchange plus canonicalize/count/scatter --

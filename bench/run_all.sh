@@ -28,7 +28,7 @@
 # A/B and combined ratio reported alongside -- on generated graphs, or on
 # a binary edge list passed via --input FILE.xdg, optionally --reorder'ed
 # by degree) plus bench_expander and bench_kernel with XD_KERNEL_LARGE=1
-# (the sharded-vs-shared delivery A/B on the 8M-edge graph, filtered to the
+# (the S-shard vs one-shard delivery A/B on the 8M-edge graph, filtered to the
 # BM_Deliver* family).
 # XD_LARGE_SCALE (or --large-scale) overrides the 1M default scale.
 
@@ -198,8 +198,9 @@ if flat and seed:
     summary["speedup"] = flat / seed
     summary["meets_2x_bar"] = flat >= 2.0 * seed
 
-# Sharded-vs-shared delivery A/B (the shard-plane acceptance bar: >= 2x at
-# 100k vertices with 8 shards) plus the per-shard buffer/scatter phase
+# S-shard vs one-shard delivery A/B ("shared" in the keys is the one-shard
+# plane, BM_DeliverFlat; the acceptance bar: >= 2x at 100k vertices with
+# 8 shards) plus the per-shard buffer/scatter phase
 # breakdown from BM_DeliverSharded's counters.  The Release CI smoke fails
 # when this block is missing.  hardware_threads records how many cores the
 # parallel scatter phases had: on a single-core host both sides serialize

@@ -16,30 +16,31 @@
 /// Or, preferred for whole-protocol steps: implement a VertexProgram
 /// (engine.hpp) and call run_round(); the engine runs the send phase over
 /// all vertices, delivers, then runs the receive phase -- optionally on
-/// several threads (set_threads) with bit-identical results.  The phases
+/// several threads, one or more shards per worker (set_threads with
+/// set_shards), with bit-identical results.  The phases
 /// run on the same worker pool as the component-level epoch scheduler
 /// (scheduler.hpp), which parallelizes *across* networks of disjoint
 /// components; round charges for that case are documented in docs/rounds.md.
 ///
-/// Delivery is flat: staged messages are canonicalized by directed slot
-/// (counting-sort keys), congestion is read off the sorted runs, and the
-/// inboxes are one contiguous Envelope arena plus a CSR offset array --
-/// zero per-vertex allocations per round.  inbox(v) is a span into the
-/// arena, ordered by (sender, slot); this order is deterministic and
-/// independent of staging interleaving, which is what makes the parallel
-/// executor exact.
+/// Delivery runs on the shard message plane (shard_plane.hpp), always: the
+/// vertex set is split into S contiguous shards (S = 1 by default, one
+/// aggregation buffer), every staging entry point writes into the sender
+/// shard's per-destination buffers, and delivery canonicalizes each
+/// destination shard's traffic by directed slot, reads congestion off the
+/// per-slot runs, and scatters into one contiguous Envelope arena per shard
+/// plus a global CSR offset array -- zero per-vertex allocations per round.
+/// inbox(v) is a span into v's shard's arena, ordered by (sender, slot);
+/// this order is deterministic and independent of staging interleaving and
+/// of S, which is what makes the parallel executor exact.
 ///
 /// Sending over a self-loop slot is rejected: loops are local state, not
 /// channels.  Messages are validated to travel only over edges of the graph
 /// (that *is* the CONGEST model -- no telepathy).
 ///
-/// set_shards(S > 1) switches delivery onto the sharded message plane
-/// (shard_plane.hpp): contiguous vertex shards stage into S x S
-/// per-destination aggregation buffers and delivery becomes a bulk buffer
-/// exchange plus per-shard scatter -- results, delivery order, and round
-/// charges are bit-identical to the shared arena at any (shards x threads)
-/// combination.  The XD_SHARDS environment variable sets the construction
-/// default (docs/sharding.md).
+/// set_shards(S) repartitions the plane; results, delivery order, and round
+/// charges are bit-identical at any (shards x threads) combination.  The
+/// XD_SHARDS environment variable sets the construction default
+/// (docs/sharding.md).
 
 #include <atomic>
 #include <cstdint>
@@ -102,19 +103,14 @@ class Network {
   /// Charge idle rounds (a phase that waits without traffic).
   void tick(std::uint64_t rounds, std::string_view reason);
 
-  /// Messages delivered to v in the last exchange: a span into the flat
-  /// arena (or, sharded, into v's shard's arena -- same contents, same
-  /// order), ordered by (sender, sender slot).
+  /// Messages delivered to v in the last exchange: a span into v's shard's
+  /// inbox arena, ordered by (sender, sender slot).
   [[nodiscard]] std::span<const Envelope> inbox(VertexId v) const {
-    if (plane_.active()) return plane_.inbox(v, inbox_offsets_);
-    return {arena_.data() + inbox_offsets_[v],
-            inbox_offsets_[v + 1] - inbox_offsets_[v]};
+    return plane_.inbox(v);
   }
 
   /// Total messages staged for the pending exchange (diagnostics).
-  [[nodiscard]] std::size_t staged() const {
-    return outbox_.size() + plane_.staged();
-  }
+  [[nodiscard]] std::size_t staged() const { return plane_.staged(); }
 
   // ---------------------------------------------------------- round engine
 
@@ -127,22 +123,25 @@ class Network {
   std::uint64_t run_rounds(VertexProgram& program, int rounds,
                            std::string_view reason);
 
-  /// Opt-in thread-parallel executor for run_round phases (default 1 =
-  /// serial).  Results are bit-identical for every thread count: phases are
-  /// data-parallel over vertices and delivery order is canonical.
+  /// Worker cap for run_round phases and delivery (default 1 = serial).
+  /// The shard is the unit of parallel work, so at most min(threads, S)
+  /// workers run: at the default S = 1 every phase is serial, and parallel
+  /// phases need set_shards(>= threads) as well.  Results are bit-identical
+  /// for every thread count.
   void set_threads(int threads);
   [[nodiscard]] int threads() const { return threads_; }
 
-  /// Opt-in sharded message plane: S contiguous vertex shards exchanging
-  /// S x S aggregation buffers (shard_plane.hpp).  S = 1 restores the
-  /// shared-arena path; every S is bit-identical to it.  Rejected while
-  /// messages are staged (the pending traffic would be orphaned).  The
-  /// XD_SHARDS environment variable (> 1) sets the construction default.
+  /// Repartition the message plane into S contiguous vertex shards
+  /// exchanging S x S aggregation buffers (shard_plane.hpp; default 1).
+  /// Every S is bit-identical, and S also caps the workers set_threads
+  /// asks for.  Rejected while messages are staged (the pending traffic
+  /// would be orphaned).  The XD_SHARDS environment variable sets the
+  /// construction default.
   void set_shards(int shards);
   [[nodiscard]] int shards() const { return plane_.shards(); }
 
-  /// Totals and per-shard buffer/scatter timings of the last sharded
-  /// delivery (bench_kernel's breakdown; empty stats while unsharded).
+  /// Totals and per-shard buffer/scatter timings of the last delivery
+  /// (bench_kernel's breakdown).
   [[nodiscard]] const ShardDeliveryStats& shard_delivery_stats() const {
     return plane_.last_delivery();
   }
@@ -154,37 +153,10 @@ class Network {
   }
 
  private:
-  friend class Outbox;
-
-  /// Validates and stages one message into `buf`.
-  void stage(detail::StagingBuffer& buf, VertexId from, std::uint32_t slot,
-             const Message& msg);
-  void stage_to(detail::StagingBuffer& buf, VertexId from, VertexId to,
-                const Message& msg);
-  /// Sharded send-phase staging: same validation, routed straight into the
-  /// sender shard's aggregation buffers (safe across distinct shards).
-  void stage_sharded(int sender_shard, VertexId from, std::uint32_t slot,
-                     const Message& msg);
-  void stage_to_sharded(int sender_shard, VertexId from, VertexId to,
-                        const Message& msg);
-
-  /// Canonicalize + deliver outbox_ into the arena; charge and return
+  /// Deliver the staged traffic through the plane; charge and return
   /// rounds.
   std::uint64_t do_exchange(std::string_view reason, bool has_override,
                             std::uint64_t rounds_override);
-  /// Delivery via the S x S aggregation-buffer exchange (plane_ active).
-  std::uint64_t do_exchange_sharded(std::string_view reason, bool has_override,
-                                    std::uint64_t rounds_override);
-  /// Shared charging tail of both delivery paths: message accounting, the
-  /// congestion-vs-override check, and the round charge.
-  std::uint64_t finish_exchange(std::string_view reason,
-                                std::size_t staged_count,
-                                std::uint64_t max_congestion, bool has_override,
-                                std::uint64_t rounds_override);
-  /// run_round over the sharded plane: shards are the partition unit for
-  /// both phases, so results are bit-identical at any worker count.
-  std::uint64_t run_round_sharded(VertexProgram& program,
-                                  std::string_view reason);
 
   const Graph* graph_;
   RoundLedger* ledger_;
@@ -192,21 +164,6 @@ class Network {
   int threads_ = 1;
   /// Relaxed atomic: bumped from parallel send phases, read for diagnostics.
   std::atomic<std::uint64_t> slot_lookup_probes_{0};
-
-  detail::StagingBuffer outbox_;
-  /// Flat inbox arena + CSR offsets (size n+1); rebuilt each delivery with
-  /// no per-vertex allocations.
-  std::vector<Envelope> arena_;
-  std::vector<std::uint32_t> inbox_offsets_;
-  /// Scratch reused across deliveries.  slot_counts_ (size volume, lazily
-  /// grown) is kept all-zeros between exchanges; the dense delivery path
-  /// uses it for per-slot counts, then cursors, then bulk-zeroes it.
-  std::vector<std::uint64_t> sort_keys_;
-  std::vector<std::uint32_t> cursor_;
-  std::vector<std::uint32_t> slot_counts_;
-  /// Per-worker staging buffers for the parallel executor.
-  std::vector<detail::StagingBuffer> worker_bufs_;
-  /// Sharded delivery plane; inactive (shared arena) until set_shards(> 1).
   ShardPlane plane_;
 };
 

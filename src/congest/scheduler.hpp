@@ -78,9 +78,9 @@ class EpochScheduler {
 
   /// Static contiguous partition: body(worker, lo, hi) over [0, n) split
   /// into `workers` ranges.  This is the round engine's phase executor
-  /// (Network::run_round): per-worker ranges with per-worker buffers,
-  /// merged in worker order, keep delivery canonical.  Exposed here so the
-  /// engine and the scheduler share one pool.
+  /// (Network::run_round and the shard plane's delivery phases, both
+  /// partitioned by shard).  Exposed here so the engine and the scheduler
+  /// share one pool.
   static void run_partitioned(
       std::size_t n, int workers,
       const std::function<void(int, std::size_t, std::size_t)>& body);

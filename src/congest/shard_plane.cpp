@@ -15,8 +15,7 @@ namespace xd::congest {
 
 namespace {
 
-constexpr std::size_t kWireHeaderBytes = 40;        // v2
-constexpr std::size_t kWireLegacyHeaderBytes = 24;  // v1
+constexpr std::size_t kWireHeaderBytes = 40;
 constexpr std::size_t kWireCrcOffset = 32;
 constexpr std::size_t kWireRecordBytes = 28;
 
@@ -36,7 +35,7 @@ int clamp_workers(int workers, int shards) {
 
 namespace {
 
-/// CRC-32C of a v2 frame with the crc field's own four bytes taken as zero
+/// CRC-32C of a frame with the crc field's own four bytes taken as zero
 /// (three streaming chunks; the xor conventions cancel across calls).
 std::uint32_t frame_crc(std::span<const unsigned char> bytes) {
   static constexpr unsigned char kZero[4] = {0, 0, 0, 0};
@@ -60,9 +59,9 @@ bool decode_impl(std::span<const unsigned char> bytes,
     *err = os.str();
     return false;
   };
-  if (bytes.size() < kWireLegacyHeaderBytes) {
+  if (bytes.size() < kWireHeaderBytes) {
     return fail("shard buffer truncated: ", bytes.size(),
-                " bytes, header needs ", kWireLegacyHeaderBytes);
+                " bytes, header needs ", kWireHeaderBytes);
   }
   const unsigned char* p = bytes.data();
   auto get32 = [&p] {
@@ -82,32 +81,22 @@ bool decode_impl(std::span<const unsigned char> bytes,
     return fail("shard buffer bad magic ", magic);
   }
   const std::uint32_t version = get32();
-  if (version != kShardBufferVersion && version != kShardBufferLegacyVersion) {
+  if (version != kShardBufferVersion) {
     return fail("shard buffer version ", version, " unsupported (want ",
-                kShardBufferVersion, " or ", kShardBufferLegacyVersion, ")");
-  }
-  const std::size_t header_bytes = version == kShardBufferLegacyVersion
-                                       ? kWireLegacyHeaderBytes
-                                       : kWireHeaderBytes;
-  if (bytes.size() < header_bytes) {
-    return fail("shard buffer truncated: ", bytes.size(),
-                " bytes, v", version, " header needs ", header_bytes);
+                kShardBufferVersion, ")");
   }
   *sender_shard = get32();
   *dest_shard = get32();
   const std::uint64_t count = get64();
-  std::uint64_t frame_seq = 0;
-  if (version == kShardBufferVersion) {
-    frame_seq = get64();
-    const std::uint32_t stored_crc = get32();
-    get32();  // reserved
-    if (stored_crc != frame_crc(bytes)) {
-      return fail("shard buffer CRC mismatch (stored ", stored_crc, ")");
-    }
+  const std::uint64_t frame_seq = get64();
+  const std::uint32_t stored_crc = get32();
+  get32();  // reserved
+  if (stored_crc != frame_crc(bytes)) {
+    return fail("shard buffer CRC mismatch (stored ", stored_crc, ")");
   }
   if (seq != nullptr) *seq = frame_seq;
-  if (count > (bytes.size() - header_bytes) / kWireRecordBytes ||
-      bytes.size() != header_bytes + kWireRecordBytes * count) {
+  if (count > (bytes.size() - kWireHeaderBytes) / kWireRecordBytes ||
+      bytes.size() != kWireHeaderBytes + kWireRecordBytes * count) {
     return fail("shard buffer size ", bytes.size(), " != header + ", count,
                 " records");
   }
@@ -193,51 +182,18 @@ void ShardPlane::configure(const Graph& g, int shards) {
     }
   }
   bufs_.assign(s_sz * s_sz, {});
-  tos_.assign(s_sz * s_sz, {});
-  stage_sorted_.assign(s_sz * s_sz, 1);
-  stage_prev_.assign(s_sz * s_sz, 0);
-  stage_run_.assign(s_sz * s_sz, 0);
-  stage_cong_.assign(s_sz * s_sz, 0);
+  fill_.assign(s_sz * s_sz, {});
   order_.assign(s_sz * s_sz, {});
-  buf_congestion_.assign(s_sz * s_sz, 0);
+  dense_.assign(s_sz, 0);
+  congestion_.assign(s_sz, 0);
   arena_.assign(s_sz, {});
   counts_.assign(s_sz, {});
   key_scratch_.assign(s_sz, {});
+  offsets_.assign(n + 1, 0);
   shard_msg_base_.assign(s_sz + 1, 0);
   exchange_seq_ = 0;
   stats_ = {};
   stats_.shard.resize(s_sz);
-}
-
-void ShardPlane::stage(int sender_shard, std::uint32_t global_slot,
-                       VertexId from, const Message& msg) {
-  const VertexId to = graph_->slot_target(global_slot);
-  const std::size_t idx = index(sender_shard, static_cast<int>(vshard_[to]));
-  detail::StagingBuffer& b = bufs_[idx];
-  // Buffer metadata rides along with the fill (the sender resolves the
-  // receiver to pick this buffer anyway): the record target, and the slot
-  // run / sortedness bookkeeping that lets delivery skip its detection
-  // pass.  In a still-sorted buffer the maximal slot run IS the buffer's
-  // per-slot congestion; once a slot regresses the buffer is marked
-  // unsorted and phase A recomputes congestion after its key sort.
-  if (b.size() == 0) {
-    stage_sorted_[idx] = 1;
-    stage_run_[idx] = 1;
-    stage_cong_[idx] = 1;
-  } else if (stage_sorted_[idx]) {
-    if (global_slot < stage_prev_[idx]) {
-      stage_sorted_[idx] = 0;
-    } else {
-      stage_run_[idx] = global_slot == stage_prev_[idx] ? stage_run_[idx] + 1
-                                                        : 1;
-      if (stage_run_[idx] > stage_cong_[idx]) {
-        stage_cong_[idx] = stage_run_[idx];
-      }
-    }
-  }
-  stage_prev_[idx] = global_slot;
-  b.push(global_slot, from, msg);
-  tos_[idx].push_back(to);
 }
 
 std::size_t ShardPlane::staged() const {
@@ -336,28 +292,24 @@ void ShardPlane::wire_exchange() {
                        << s << ") still missing after " << attempt
                        << " attempts (seq " << seq << ")");
     }
-    // Commit the column: the decoded buffers replace the staging originals,
-    // record targets are rebuilt from the graph (with the shard invariant
-    // re-checked defensively), and the stage-time canonicalization metadata
-    // is invalidated so phase A's key sort recomputes order and congestion
-    // from the wire content -- identical content, identical results.
+    // Commit the column: the decoded buffers replace the staging originals
+    // (with every record's slot range and receiver shard re-checked
+    // defensively), and the buffers are marked unsorted so phase A
+    // recomputes order and congestion from the wire content -- identical
+    // content, identical results.
     for (int q = 0; q < shards_; ++q) {
       const std::size_t idx = index(q, s);
       bufs_[idx] = std::move(col[static_cast<std::size_t>(q)]);
       col[static_cast<std::size_t>(q)] = {};
-      const detail::StagingBuffer& b = bufs_[idx];
-      auto& tos = tos_[idx];
-      tos.clear();
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        XD_CHECK_MSG(b.slot[i] < volume,
-                     "wire record slot " << b.slot[i] << " out of range");
-        const VertexId to = graph_->slot_target(b.slot[i]);
+      for (const std::uint32_t slot : bufs_[idx].slot) {
+        XD_CHECK_MSG(slot < volume,
+                     "wire record slot " << slot << " out of range");
+        const VertexId to = graph_->slot_target(slot);
         XD_CHECK_MSG(vshard_[to] == static_cast<std::uint32_t>(s),
                      "wire record routed to shard " << vshard_[to]
                                                     << ", expected " << s);
-        tos.push_back(to);
       }
-      stage_sorted_[idx] = 0;
+      fill_[idx].sorted = false;
     }
   }
 }
@@ -368,23 +320,44 @@ void ShardPlane::phase_count(int s) {
   auto& counts = counts_[static_cast<std::size_t>(s)];
   counts.assign(hi - lo, 0);
   std::uint64_t total = 0;
-  for (int q = 0; q < shards_; ++q) {
-    const std::size_t idx = index(q, s);
-    const detail::StagingBuffer& b = bufs_[idx];
-    const std::size_t m = b.size();
-    std::uint64_t cong = 0;
-    auto& ord = order_[idx];
-    ord.clear();
-    if (m > 0) {
-      // Canonical per-buffer order is ascending (slot, staging index) --
-      // the same rule as the shared arena.  stage() tracked sortedness and
-      // the maximal slot run as the buffer filled, so the common case
-      // (vertex-ascending staging) costs nothing here; an out-of-order
-      // buffer pays a stable (slot, index) key sort that also recomputes
-      // its congestion off the sorted runs.
-      if (stage_sorted_[idx]) {
-        cong = stage_cong_[idx];
-      } else {
+  std::uint64_t cong = 0;
+  if (dense_[static_cast<std::size_t>(s)]) {
+    // Counting path: per-slot counts, then one walk of the shard's
+    // incoming-slot index (ascending slots per receiver) turns them into
+    // receiver counts, congestion, and per-slot scatter cursors.  No
+    // receiver lookup, no sort.
+    for (int q = 0; q < shards_; ++q) {
+      const detail::StagingBuffer& b = bufs_[index(q, s)];
+      for (const std::uint32_t slot : b.slot) ++slot_counts_[slot];
+      total += b.size();
+    }
+    std::uint32_t running = 0;
+    for (std::size_t v = lo; v < hi; ++v) {
+      const std::uint32_t start = running;
+      for (const std::uint32_t slot :
+           graph_->incoming_slots(static_cast<VertexId>(v))) {
+        const std::uint32_t c = slot_counts_[slot];
+        cong = std::max<std::uint64_t>(cong, c);
+        slot_counts_[slot] = running;
+        running += c;
+      }
+      counts[v - lo] = running - start;
+    }
+  } else {
+    for (int q = 0; q < shards_; ++q) {
+      const std::size_t idx = index(q, s);
+      const detail::StagingBuffer& b = bufs_[idx];
+      const std::size_t m = b.size();
+      auto& ord = order_[idx];
+      ord.clear();
+      if (m == 0) continue;
+      // Canonical per-buffer order is ascending (slot, staging index).
+      // stage() tracked sortedness as the buffer filled, so the common case
+      // (vertex-ascending staging) keeps staging order; an out-of-order
+      // buffer pays a stable (slot, index) key sort.  One pass in that
+      // order then reads congestion (the longest run of one slot) and
+      // counts receivers.
+      if (!fill_[idx].sorted) {
         auto& keys = key_scratch_[static_cast<std::size_t>(s)];
         keys.resize(m);
         for (std::size_t j = 0; j < m; ++j) {
@@ -393,93 +366,145 @@ void ShardPlane::phase_count(int s) {
         }
         std::sort(keys.begin(), keys.end());
         ord.resize(m);
-        std::uint64_t run = 0;
         for (std::size_t j = 0; j < m; ++j) {
-          run = j > 0 && (keys[j] >> 32) == (keys[j - 1] >> 32) ? run + 1 : 1;
-          cong = std::max(cong, run);
           ord[j] = static_cast<std::uint32_t>(keys[j] & 0xffffffffu);
         }
       }
-      // Receiver counts stream the stage-time target cache -- no random
-      // slot -> receiver lookups on the delivery path.
-      const std::uint32_t* tos = tos_[idx].data();
-      for (std::size_t i = 0; i < m; ++i) ++counts[tos[i] - lo];
+      std::uint64_t run = 0;
+      std::uint32_t prev = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::uint32_t slot = b.slot[ord.empty() ? j : ord[j]];
+        run = j > 0 && slot == prev ? run + 1 : 1;
+        cong = std::max(cong, run);
+        prev = slot;
+        ++counts[graph_->slot_target(slot) - lo];
+      }
       total += m;
     }
-    buf_congestion_[idx] = cong;
   }
+  congestion_[static_cast<std::size_t>(s)] = cong;
   auto& st = stats_.shard[static_cast<std::size_t>(s)];
   st.received = total;
   st.buffer_ms = ms_since(t0);
 }
 
-void ShardPlane::phase_scatter(int s,
-                               std::vector<std::uint32_t>& inbox_offsets) {
+void ShardPlane::phase_scatter(int s) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto [lo, hi] = shard_range(s);
   auto& counts = counts_[static_cast<std::size_t>(s)];
   auto& arena = arena_[static_cast<std::size_t>(s)];
   arena.resize(stats_.shard[static_cast<std::size_t>(s)].received);
   // Publish this shard's slice of the global CSR offsets (vertices [lo, hi)
-  // only -- offsets[n] is written serially by deliver(), and neighboring
+  // only -- offsets_[n] is written serially by deliver(), and neighboring
   // shards' slices are disjoint, so no write is shared across workers) and
   // repurpose counts as arena-local scatter cursors.
   const std::uint32_t base = shard_msg_base_[static_cast<std::size_t>(s)];
   std::uint32_t running = 0;
   for (std::size_t v = lo; v < hi; ++v) {
     const std::uint32_t c = counts[v - lo];
-    inbox_offsets[v] = base + running;
+    offsets_[v] = base + running;
     counts[v - lo] = running;
     running += c;
+  }
+  if (dense_[static_cast<std::size_t>(s)]) {
+    // Counting path: each record lands at its slot's cursor; a slot's
+    // records stay in staging order.  Then restore the all-zero invariant
+    // over exactly the slots phase A turned into cursors -- at S = 1 that
+    // is the whole array, where a streaming fill beats walking the index.
+    for (int q = 0; q < shards_; ++q) {
+      const detail::StagingBuffer& b = bufs_[index(q, s)];
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        arena[slot_counts_[b.slot[i]]++] = Envelope{b.from[i], b.msg[i]};
+      }
+    }
+    if (shards_ == 1) {
+      std::fill(slot_counts_.begin(), slot_counts_.end(), 0);
+    } else {
+      for (std::size_t v = lo; v < hi; ++v) {
+        for (const std::uint32_t slot :
+             graph_->incoming_slots(static_cast<VertexId>(v))) {
+          slot_counts_[slot] = 0;
+        }
+      }
+    }
+    stats_.shard[static_cast<std::size_t>(s)].scatter_ms = ms_since(t0);
+    return;
   }
   // Scatter the S incoming buffers in sender-shard order: sender shards
   // partition the directed-slot space monotonically, so this visits each
   // receiver's messages in globally ascending slot order -- the canonical
-  // delivery order of the shared-arena path.
+  // delivery order.  The write-allocate prefetch hints a destination a few
+  // records ahead; a cursor can sit at the arena end (a tail-heavy
+  // receiver), which is still a valid one-past-the-end address.
   for (int q = 0; q < shards_; ++q) {
     const std::size_t bidx = index(q, s);
     const detail::StagingBuffer& b = bufs_[bidx];
     const auto& ord = order_[bidx];
-    const std::uint32_t* tos = tos_[bidx].data();
     const std::size_t m = b.size();
+    const auto cursor = [&](std::size_t i) -> std::uint32_t& {
+      return counts[graph_->slot_target(b.slot[i]) - lo];
+    };
     constexpr std::size_t kAhead = 12;
     if (ord.empty()) {
       for (std::size_t i = 0; i < m; ++i) {
         if (i + kAhead < m) {
-          __builtin_prefetch(arena.data() + counts[tos[i + kAhead] - lo], 1, 0);
+          __builtin_prefetch(arena.data() + cursor(i + kAhead), 1, 0);
         }
-        arena[counts[tos[i] - lo]++] = Envelope{b.from[i], b.msg[i]};
+        arena[cursor(i)++] = Envelope{b.from[i], b.msg[i]};
       }
     } else {
       for (std::size_t i = 0; i < m; ++i) {
         if (i + kAhead < m) {
-          __builtin_prefetch(arena.data() + counts[tos[ord[i + kAhead]] - lo],
-                             1, 0);
+          __builtin_prefetch(arena.data() + cursor(ord[i + kAhead]), 1, 0);
         }
         const std::size_t idx = ord[i];
-        arena[counts[tos[idx] - lo]++] = Envelope{b.from[idx], b.msg[idx]};
+        arena[cursor(idx)++] = Envelope{b.from[idx], b.msg[idx]};
       }
     }
   }
   stats_.shard[static_cast<std::size_t>(s)].scatter_ms = ms_since(t0);
 }
 
-void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
-                         int workers) {
+void ShardPlane::deliver(int workers) {
   const auto S = static_cast<std::size_t>(shards_);
   const std::size_t n = graph_->num_vertices();
   const int w = clamp_workers(workers, shards_);
 
   // Fault-armed runs route every buffer through the wire frame path first
   // (serial, deterministic); disarmed runs pay one relaxed load here and
-  // exchange buffers in memory as before.
+  // exchange buffers in memory.
   if (shards_ > 1 &&
       FaultPlane::instance().armed(FaultCategory::kShard)) {
     wire_exchange();
   }
 
+  // Strategy per destination shard, from what the plane observes: count
+  // per directed slot when some incoming buffer is unsorted and the staged
+  // traffic is dense against the shard's incoming slots (>= 1/16), where a
+  // key sort would cost more than O(slots) counting passes.
+  bool any_dense = false;
+  for (std::size_t s = 0; s < S; ++s) {
+    std::uint64_t total = 0;
+    bool unsorted = false;
+    for (int q = 0; q < shards_; ++q) {
+      const std::size_t idx = index(q, static_cast<int>(s));
+      total += bufs_[idx].size();
+      unsorted |= bufs_[idx].size() > 0 && !fill_[idx].sorted;
+    }
+    const auto [lo, hi] = shard_range(static_cast<int>(s));
+    const std::uint64_t slots =
+        graph_->slot_base(static_cast<VertexId>(hi)) -
+        graph_->slot_base(static_cast<VertexId>(lo));
+    dense_[s] = unsorted && total * 16 >= slots;
+    any_dense |= dense_[s] != 0;
+  }
+  if (any_dense && slot_counts_.size() < graph_->volume()) {
+    slot_counts_.resize(graph_->volume(), 0);
+  }
+
   // Phase A, parallel over destination shards: canonicalize buffers, read
-  // congestion, count receivers.  All writes are per-dest-shard-local.
+  // congestion, count receivers.  Writes are per-dest-shard-local (the
+  // shared slot_counts_ entries of a slot belong to its receiver's shard).
   EpochScheduler::run_partitioned(S, w,
                                   [&](int /*w*/, std::size_t lo,
                                       std::size_t hi) {
@@ -488,11 +513,10 @@ void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
                                     }
                                   });
 
-  // Serial barrier: shard totals -> global arena base offsets, buffer
+  // Serial barrier: shard totals -> global arena base offsets, shard
   // congestion -> global max.  Exact because every directed slot lives in
   // exactly one (sender, dest) buffer.
   std::size_t total_staged = 0;
-  stats_.max_congestion = 0;
   shard_msg_base_[0] = 0;
   for (std::size_t s = 0; s < S; ++s) {
     total_staged += stats_.shard[s].received;
@@ -501,25 +525,21 @@ void ShardPlane::deliver(std::vector<std::uint32_t>& inbox_offsets,
     shard_msg_base_[s + 1] =
         shard_msg_base_[s] + static_cast<std::uint32_t>(stats_.shard[s].received);
   }
-  for (const std::uint64_t c : buf_congestion_) {
-    stats_.max_congestion = std::max(stats_.max_congestion, c);
-  }
+  stats_.max_congestion =
+      *std::max_element(congestion_.begin(), congestion_.end());
   stats_.staged = total_staged;
-  inbox_offsets[n] = shard_msg_base_[S];
+  offsets_[n] = shard_msg_base_[S];
 
   // Phase B, parallel over destination shards: publish offsets and scatter.
   EpochScheduler::run_partitioned(
       S, w, [&](int /*w*/, std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
-          phase_scatter(static_cast<int>(s), inbox_offsets);
+          phase_scatter(static_cast<int>(s));
         }
       });
 
-  // Clearing a buffer resets its stage-time metadata lazily: stage()
-  // reinitializes the sortedness/run tracking on the first push into an
-  // empty buffer.
   for (auto& b : bufs_) b.clear();
-  for (auto& t : tos_) t.clear();
+  std::fill(fill_.begin(), fill_.end(), Fill{});
 }
 
 }  // namespace xd::congest

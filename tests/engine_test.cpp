@@ -131,6 +131,9 @@ Fingerprint run_stack(int threads) {
   const Graph g = gen::gnp(150, 0.06, rng);
   RoundLedger ledger;
   Network net(g, ledger, 321);
+  // Workers are capped at the shard count, so parallel phases need as many
+  // shards as threads.
+  net.set_shards(threads);
   net.set_threads(threads);
 
   Fingerprint fp;
@@ -165,6 +168,7 @@ TEST(Engine, ParallelPhaseExceptionsAreCatchable) {
   const Graph g = gen::path(4);
   RoundLedger ledger;
   Network net(g, ledger);
+  net.set_shards(3);
   net.set_threads(3);
   auto program = make_program(
       [](VertexId v, Outbox& out) {

@@ -245,7 +245,7 @@ RunResult run_chatter(const Graph& g, int shards, int threads) {
 // The tentpole pin: under every recoverable fault schedule -- each fault
 // kind, count and probability triggers, at every shards x threads
 // combination -- results, delivery order, and round charges are
-// bit-identical to the fault-free shared-arena run.
+// bit-identical to the fault-free one-shard, one-thread run.
 TEST(ChaosGrid, RecoverableFaultsAreBitIdentical) {
   FaultGuard guard;
   const Graph g = corpus::topology("expander");

@@ -175,12 +175,13 @@ TEST(CliqueNetwork, RejectsSelfSend) {
 }
 
 TEST(Network, SortedFastPathPrefetchStaysInBoundsOnTailHeavyReceiver) {
-  // Regression for the delivery fast path's write-ahead prefetch: with all
-  // traffic landing in the LAST vertex's inbox, that receiver's scatter
-  // cursor reaches the arena end while the loop is still hinting ahead, so
-  // an unclamped &arena_[cursor] would index past the allocation.  Staging
-  // by ascending sender keeps the slots sorted (the fast path runs); the
-  // CI ASan job executes this test to police the bound.
+  // Regression for the plane's sorted scatter write-ahead prefetch: with
+  // all traffic landing in the LAST vertex's inbox, that receiver's scatter
+  // cursor reaches the shard arena's end while the loop is still hinting
+  // ahead, so the hint address must stay inside (or one past) the
+  // allocation.  Staging by ascending sender keeps the buffer sorted (the
+  // stage-time sorted path runs); the CI ASan job executes this test to
+  // police the bound.
   constexpr std::size_t kSenders = 64;
   GraphBuilder b(kSenders + 1);
   for (VertexId v = 0; v < kSenders; ++v) {
@@ -189,7 +190,7 @@ TEST(Network, SortedFastPathPrefetchStaysInBoundsOnTailHeavyReceiver) {
   const Graph g = b.build();
   RoundLedger ledger;
   Network net(g, ledger);
-  net.set_shards(1);  // pin the shared-arena fast path under XD_SHARDS too
+  net.set_shards(1);  // one shard even under XD_SHARDS
   for (VertexId v = 0; v < kSenders; ++v) {
     net.send_to(v, static_cast<VertexId>(kSenders), Message{1, v});
   }

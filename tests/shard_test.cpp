@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -24,35 +25,135 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// A deliberately messy multi-round program: descending-slot sends (defeats
-/// the per-buffer sorted fast path), same-slot re-sends (congestion > 1),
-/// silent vertices, and a per-vertex fold hash over full envelope contents
-/// (sender, tag, payload) so any reorder or loss flips the fingerprint.
-struct Chatter final : VertexProgram {
-  explicit Chatter(const Graph& g) : g(&g), acc(g.num_vertices(), 0) {}
+// ------------------------------------------------ brute-force delivery --
+
+/// One staged record as the oracle sees it: global directed slot, sender,
+/// payload, in staging order.
+struct Record {
+  std::uint32_t slot;
+  VertexId from;
+  Message msg;
+};
+
+/// The delivery contract spelled out by brute force: stably sort the staged
+/// records by directed slot (ties keep staging order), group them by the
+/// slot's receiver, and charge the largest per-slot count.
+struct OracleDelivery {
+  std::vector<std::vector<Envelope>> inbox;
+  std::uint64_t congestion = 0;
+};
+
+OracleDelivery oracle_deliver(const Graph& g, std::vector<Record> staged) {
+  std::stable_sort(staged.begin(), staged.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.slot < b.slot;
+                   });
+  OracleDelivery d;
+  d.inbox.resize(g.num_vertices());
+  std::uint64_t run = 0;
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    const Record& r = staged[i];
+    d.inbox[g.slot_target(r.slot)].push_back(Envelope{r.from, r.msg});
+    run = i > 0 && staged[i - 1].slot == r.slot ? run + 1 : 1;
+    d.congestion = std::max(d.congestion, run);
+  }
+  return d;
+}
+
+/// Every inbox of `net` equals the oracle's, envelope for envelope.
+void expect_inboxes_match(const Network& net, const OracleDelivery& want) {
+  for (VertexId v = 0; v < want.inbox.size(); ++v) {
+    const auto got = net.inbox(v);
+    ASSERT_EQ(got.size(), want.inbox[v].size()) << "vertex " << v;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].from, want.inbox[v][i].from)
+          << "vertex " << v << " msg " << i;
+      EXPECT_EQ(got[i].msg, want.inbox[v][i].msg)
+          << "vertex " << v << " msg " << i;
+    }
+  }
+}
+
+/// Adapts a per-vertex send rule to both sides: an Outbox in the engine,
+/// a Record list in the oracle.
+struct RecordSink {
+  const Graph* g;
+  VertexId v;
+  std::vector<Record>* out;
+  void send(std::uint32_t slot, const Message& msg) const {
+    out->push_back(Record{g->slot_base(v) + slot, v, msg});
+  }
+};
+
+void fold(std::uint64_t& acc, std::span<const Envelope> inbox) {
+  for (const Envelope& e : inbox) {
+    acc = mix(acc, e.from);
+    acc = mix(acc, e.msg.tag);
+    acc = mix(acc, e.msg.words[0]);
+    acc = mix(acc, e.msg.words[1]);
+  }
+}
+
+/// A deliberately messy multi-round send rule: descending-slot sends
+/// (defeats the per-buffer sorted fast path), same-slot re-sends
+/// (congestion > 1), and silent vertices.
+const auto kChatter = [](const Graph& g, int round, VertexId v, auto& out) {
+  if (v % 3 == 2) return;
+  const auto nbrs = g.neighbors(v);
+  for (std::uint32_t s = static_cast<std::uint32_t>(nbrs.size()); s-- > 0;) {
+    if (nbrs[s] == v) continue;
+    out.send(s, Message{static_cast<std::uint32_t>(round),
+                        (std::uint64_t{v} << 32) | s, v + 1});
+    if (s == 0 && round % 2 == 0) out.send(s, Message{7, v});
+  }
+};
+
+/// The portal token walk's traffic shape: each vertex sends several tokens
+/// over pseudo-random slots (a pure function of vertex, round and token),
+/// so slots arrive out of order with same-slot repeats, and the traffic is
+/// dense (about 3 messages per vertex against a few slots per vertex).
+const auto kPortal = [](const Graph& g, int round, VertexId v, auto& out) {
+  const auto nbrs = g.neighbors(v);
+  if (nbrs.empty()) return;
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    const std::uint64_t h =
+        mix(mix(mix(0x51ed27, v), static_cast<std::uint64_t>(round)), t);
+    const auto s = static_cast<std::uint32_t>(h % nbrs.size());
+    if (nbrs[s] == v) continue;
+    out.send(s, Message{static_cast<std::uint32_t>(t), h, v});
+  }
+};
+
+/// Sparse unsorted traffic: one vertex in 40 sends on its last slot, its
+/// second-to-last, then its last again -- out of slot order with a
+/// same-slot tie, and far below 1/16 of the slots, so delivery takes the
+/// key-sort path.
+const auto kSparse = [](const Graph& g, int round, VertexId v, auto& out) {
+  if ((v + static_cast<VertexId>(round)) % 40 != 0) return;
+  const auto nbrs = g.neighbors(v);
+  if (nbrs.size() < 2) return;
+  const auto last = static_cast<std::uint32_t>(nbrs.size() - 1);
+  std::uint64_t k = 0;
+  for (const std::uint32_t s : {last, last - 1, last}) {
+    if (nbrs[s] != v) out.send(s, Message{2, v, k++});
+  }
+};
+
+/// Runs a send rule through the engine with a fold-hash receive phase, so
+/// any reorder or loss of an envelope flips the fingerprint.
+template <class SendRule>
+struct RuleProgram final : VertexProgram {
+  RuleProgram(const Graph& graph, SendRule send_rule)
+      : g(&graph), rule(send_rule), acc(graph.num_vertices(), 0) {}
 
   const Graph* g;
+  SendRule rule;
   int round = 0;
   std::vector<std::uint64_t> acc;
 
-  void on_send(VertexId v, Outbox& out) override {
-    if (v % 3 == 2) return;
-    const auto nbrs = g->neighbors(v);
-    for (std::uint32_t s = static_cast<std::uint32_t>(nbrs.size()); s-- > 0;) {
-      if (nbrs[s] == v) continue;
-      out.send(s, Message{static_cast<std::uint32_t>(round),
-                          (std::uint64_t{v} << 32) | s, v + 1});
-      if (s == 0 && round % 2 == 0) out.send(s, Message{7, v});
-    }
-  }
-
+  void on_send(VertexId v, Outbox& out) override { rule(*g, round, v, out); }
   void on_receive(VertexId v, std::span<const Envelope> inbox) override {
-    for (const Envelope& e : inbox) {
-      acc[v] = mix(acc[v], e.from);
-      acc[v] = mix(acc[v], e.msg.tag);
-      acc[v] = mix(acc[v], e.msg.words[0]);
-      acc[v] = mix(acc[v], e.msg.words[1]);
-    }
+    fold(acc[v], inbox);
   }
 };
 
@@ -65,15 +166,18 @@ struct RunResult {
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
-RunResult run_chatter(const Graph& g, int shards, int threads) {
+constexpr int kRounds = 4;
+
+template <class SendRule>
+RunResult run_engine(const Graph& g, SendRule rule, int shards, int threads) {
   RoundLedger ledger;
   Network net(g, ledger, /*seed=*/7);
   net.set_shards(shards);
   net.set_threads(threads);
-  Chatter program(g);
+  RuleProgram<SendRule> program(g, rule);
   RunResult r;
-  for (program.round = 0; program.round < 4; ++program.round) {
-    r.rounds_per_step.push_back(net.run_round(program, "chatter"));
+  for (program.round = 0; program.round < kRounds; ++program.round) {
+    r.rounds_per_step.push_back(net.run_round(program, "grid"));
   }
   r.acc = program.acc;
   r.rounds = ledger.rounds();
@@ -81,71 +185,114 @@ RunResult run_chatter(const Graph& g, int shards, int threads) {
   return r;
 }
 
-// The tentpole conformance grid: inbox fold hashes, per-step round charges
-// (max congestion), and ledger totals must be bit-identical to the serial
-// shared-arena run at every shards x threads combination.
-TEST(ShardConformance, GridMatchesSharedArenaOnAllTopologies) {
-  for (const char* name : {"expander", "dumbbell", "star"}) {
-    SCOPED_TRACE(name);
-    const Graph g = topology(name);
-    const RunResult baseline = run_chatter(g, /*shards=*/1, /*threads=*/1);
-    EXPECT_GT(baseline.messages, 0u);
-    for (const int shards : {1, 2, 4, 8}) {
-      for (const int threads : {1, 2, 8}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads));
-        EXPECT_EQ(run_chatter(g, shards, threads), baseline);
-      }
+/// The same rounds delivered by oracle_deliver.
+template <class SendRule>
+RunResult run_oracle(const Graph& g, SendRule rule) {
+  RunResult r;
+  r.acc.assign(g.num_vertices(), 0);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Record> staged;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      RecordSink sink{&g, v, &staged};
+      rule(g, round, v, sink);
+    }
+    const OracleDelivery d = oracle_deliver(g, staged);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) fold(r.acc[v], d.inbox[v]);
+    const std::uint64_t charged = std::max<std::uint64_t>(d.congestion, 1);
+    r.rounds_per_step.push_back(charged);
+    r.rounds += charged;
+    r.messages += staged.size();
+  }
+  return r;
+}
+
+template <class SendRule>
+void expect_grid_matches_oracle(const Graph& g, SendRule rule) {
+  const RunResult want = run_oracle(g, rule);
+  EXPECT_GT(want.messages, 0u);
+  for (const int shards : {1, 2, 4, 8}) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(run_engine(g, rule, shards, threads), want);
     }
   }
 }
 
+// The conformance grid: inbox fold hashes, per-step round charges (max
+// congestion), and ledger totals must equal the brute-force oracle at every
+// shards x threads combination.
+TEST(ShardConformance, GridMatchesOracleOnAllTopologies) {
+  for (const char* name : {"expander", "dumbbell", "star"}) {
+    SCOPED_TRACE(name);
+    expect_grid_matches_oracle(topology(name), kChatter);
+  }
+}
+
+// Portal-walk-shaped traffic (several tokens per vertex over random slots,
+// out of slot order, same-slot repeats, >= 1/16 of the slots staged) takes
+// the slot-counting path in every destination shard -- at S > 1 too.
+TEST(ShardConformance, DenseRandomSlotTrafficMatchesOracle) {
+  Rng rng(29);
+  const Graph g = gen::random_regular(240, 6, rng);
+  const RunResult want = run_oracle(g, kPortal);
+  ASSERT_GE(want.messages * 16, std::uint64_t{kRounds} * g.slot_base(240));
+  ASSERT_GT(*std::max_element(want.rounds_per_step.begin(),
+                              want.rounds_per_step.end()),
+            1u);  // same-slot repeats happened
+  expect_grid_matches_oracle(g, kPortal);
+}
+
+// Sparse unsorted traffic takes the (slot, index) key-sort path.
+TEST(ShardConformance, SparseUnsortedTrafficMatchesOracle) {
+  Rng rng(31);
+  const Graph g = gen::random_regular(240, 6, rng);
+  const RunResult want = run_oracle(g, kSparse);
+  ASSERT_LT(want.messages * 16, std::uint64_t{kRounds} * g.slot_base(240));
+  ASSERT_EQ(want.rounds_per_step[0], 2u);  // the same-slot tie
+  expect_grid_matches_oracle(g, kSparse);
+}
+
 // Direct send()/send_to() staging (no VertexProgram) routes straight into
 // the sender shard's aggregation buffers: contents, order, and round charges
-// must match the shared arena, including same-slot re-send ties staged out
-// of order.
-TEST(ShardConformance, DirectExchangeMatchesSharedArena) {
+// must match the oracle, including same-slot re-send ties staged out of
+// order.
+TEST(ShardConformance, DirectExchangeMatchesOracle) {
   const Graph g = topology("gnp-medium");
+  std::vector<Record> staged;
   const auto stage_all = [&](Network& net) {
+    staged.clear();
     for (VertexId v = g.num_vertices(); v-- > 0;) {
       const auto nbrs = g.neighbors(v);
       for (std::uint32_t s = 0; s < nbrs.size(); ++s) {
         if (nbrs[s] == v) continue;
         net.send(v, s, Message{s, v});
-        if (v % 5 == 0) net.send_to(v, nbrs[s], Message{99, v});
+        staged.push_back(Record{g.slot_base(v) + s, v, Message{s, v}});
+        if (v % 5 == 0) {
+          net.send_to(v, nbrs[s], Message{99, v});
+          staged.push_back(Record{g.slot_base(v) + g.slot_of(v, nbrs[s]), v,
+                                  Message{99, v}});
+        }
       }
     }
   };
-  RoundLedger shared_ledger;
-  Network shared(g, shared_ledger);
-  shared.set_shards(1);
-  stage_all(shared);
-  const std::uint64_t shared_rounds = shared.exchange("direct");
-
-  for (const int shards : {2, 4, 8}) {
+  for (const int shards : {1, 2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     RoundLedger ledger;
     Network net(g, ledger);
     net.set_shards(shards);
     net.set_threads(4);
     stage_all(net);
-    EXPECT_EQ(net.exchange("direct"), shared_rounds);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto a = shared.inbox(v);
-      const auto b = net.inbox(v);
-      ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].from, b[i].from) << "vertex " << v << " msg " << i;
-        EXPECT_EQ(a[i].msg, b[i].msg) << "vertex " << v << " msg " << i;
-      }
-    }
-    EXPECT_EQ(ledger.rounds(), shared_ledger.rounds());
-    EXPECT_EQ(ledger.messages(), shared_ledger.messages());
+    const OracleDelivery want = oracle_deliver(g, staged);
+    EXPECT_EQ(net.exchange("direct"), want.congestion);
+    expect_inboxes_match(net, want);
+    EXPECT_EQ(ledger.rounds(), want.congestion);
+    EXPECT_EQ(ledger.messages(), staged.size());
   }
 }
 
 // Direct sends staged before a run_round must precede the send phase's
-// messages on the same slot (the shared path's tiebreak), sharded or not.
+// messages on the same slot (staging order breaks slot ties) at any S.
 TEST(ShardConformance, DirectSendsPrecedeProgramStagingOnSlotTies) {
   const Graph g = gen::path(2);
   auto run = [&](int shards) {
@@ -182,7 +329,7 @@ TEST(ShardConformance, EmptyExchangeChargesOneRoundAndOverridesHold) {
     EXPECT_TRUE(net.inbox(v).empty());
   }
   // Congestion 2 under an override of 5 charges 5; an override below the
-  // congestion is rejected, same as the shared path.
+  // congestion is rejected.
   net.send_to(1, 0, Message{1, 1});
   net.send_to(1, 0, Message{2, 2});
   EXPECT_EQ(net.exchange_charging("override", 5), 5u);
@@ -280,10 +427,9 @@ TEST(ShardWire, BufferRoundTrip) {
   }
 }
 
-// A version-1 frame -- 24-byte header, no sequence number or CRC -- must
-// still decode (reported as seq 0): prepared buffer dumps from before the
-// v2 format stay readable.
-TEST(ShardWire, DecodesLegacyV1Frames) {
+// A version-1 frame -- 24-byte header, no sequence number or CRC -- is
+// rejected: decode throws a CheckError and try_decode reports false.
+TEST(ShardWire, RejectsLegacyV1Frames) {
   detail::StagingBuffer buf;
   buf.push(5, 2, Message{4, 11, 12});
   std::vector<unsigned char> v1;
@@ -298,7 +444,7 @@ TEST(ShardWire, DecodesLegacyV1Frames) {
     }
   };
   put32(kShardBufferMagic);
-  put32(kShardBufferLegacyVersion);
+  put32(1);  // version
   put32(1);  // sender
   put32(2);  // dest
   put64(buf.size());
@@ -311,15 +457,11 @@ TEST(ShardWire, DecodesLegacyV1Frames) {
   }
   std::uint32_t sender = 0;
   std::uint32_t dest = 0;
-  std::uint64_t seq = 99;
+  std::uint64_t seq = 0;
   detail::StagingBuffer back;
-  decode_shard_buffer(v1, &sender, &dest, &back, &seq);
-  EXPECT_EQ(sender, 1u);
-  EXPECT_EQ(dest, 2u);
-  EXPECT_EQ(seq, 0u);
-  ASSERT_EQ(back.size(), buf.size());
-  EXPECT_EQ(back.slot[0], buf.slot[0]);
-  EXPECT_EQ(back.msg[0], buf.msg[0]);
+  EXPECT_THROW(decode_shard_buffer(v1, &sender, &dest, &back, &seq),
+               CheckError);
+  EXPECT_FALSE(try_decode_shard_buffer(v1, &sender, &dest, &back, &seq));
 }
 
 // Any single flipped bit in a v2 frame -- header or payload -- must fail
