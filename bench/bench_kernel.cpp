@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -16,73 +15,6 @@
 namespace {
 
 using namespace xd;
-
-// Seed-kernel reference: the pre-engine delivery path (one heap-allocated
-// inbox vector per vertex, sequential scatter, O(deg) send_to scan) with
-// the seed's original unpacked wire format (32-byte envelopes, 40-byte
-// staged records).  Kept here as the measured baseline for the flat-buffer
-// engine; the acceptance bar for the engine is >= 2x delivered-message
-// throughput on a 100k-vertex round.
-class SeedNestedKernel {
- public:
-  /// The seed's Message/Envelope layouts (natural alignment + padding).
-  struct SeedMessage {
-    std::uint32_t tag = 0;
-    std::array<std::uint64_t, 2> words{0, 0};
-  };
-  struct SeedEnvelope {
-    VertexId from = 0;
-    SeedMessage msg;
-  };
-  static_assert(sizeof(SeedEnvelope) == 32, "seed envelope layout");
-
-  explicit SeedNestedKernel(const Graph& g)
-      : graph_(&g), inboxes_(g.num_vertices()) {}
-
-  void send(VertexId from, std::uint32_t slot, const congest::Message& msg) {
-    const VertexId to = graph_->neighbors(from)[slot];
-    outbox_.push_back(Staged{from, to, graph_->slot_base(from) + slot,
-                             SeedMessage{msg.tag, {msg.words[0], msg.words[1]}}});
-  }
-
-  std::uint64_t exchange() {
-    for (auto& inbox : inboxes_) inbox.clear();
-    std::uint64_t max_congestion = 0;
-    if (!outbox_.empty()) {
-      std::vector<std::uint32_t> slots(outbox_.size());
-      for (std::size_t i = 0; i < outbox_.size(); ++i) {
-        slots[i] = outbox_[i].directed_slot;
-      }
-      std::sort(slots.begin(), slots.end());
-      std::uint64_t run = 1;
-      for (std::size_t i = 1; i < slots.size(); ++i) {
-        run = slots[i] == slots[i - 1] ? run + 1 : 1;
-        max_congestion = std::max(max_congestion, run);
-      }
-      max_congestion = std::max<std::uint64_t>(max_congestion, 1);
-    }
-    for (const Staged& s : outbox_) {
-      inboxes_[s.to].push_back(SeedEnvelope{s.from, s.msg});
-    }
-    outbox_.clear();
-    return std::max<std::uint64_t>(max_congestion, 1);
-  }
-
-  [[nodiscard]] std::span<const SeedEnvelope> inbox(VertexId v) const {
-    return inboxes_[v];
-  }
-
- private:
-  struct Staged {
-    VertexId from;
-    VertexId to;
-    std::uint32_t directed_slot;
-    SeedMessage msg;
-  };
-  const Graph* graph_;
-  std::vector<Staged> outbox_;
-  std::vector<std::vector<SeedEnvelope>> inboxes_;
-};
 
 /// Flood graphs, cached across benchmark-framework invocations: the large
 /// (8M-edge) tier would otherwise regenerate a 2M-vertex random-regular
@@ -101,21 +33,20 @@ const Graph& flood_graph(std::size_t n) {
 }
 
 /// Stage one full flood: every vertex sends on every non-loop slot.
-template <class Kernel>
-void stage_flood(const Graph& g, Kernel& kernel) {
+void stage_flood(const Graph& g, congest::Network& net) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     auto nbrs = g.neighbors(v);
     for (std::uint32_t s = 0; s < nbrs.size(); ++s) {
       if (nbrs[s] == v) continue;
-      kernel.send(v, s, congest::Message{1, v});
+      net.send(v, s, congest::Message{1, v});
     }
   }
 }
 
 /// Delivery only: staging happens outside the timed region, so the
 /// items/sec counter is pure message-delivery throughput of the one-shard
-/// plane (Network's default).  This pair is the engine's acceptance metric
-/// (flat >= 2x seed on the 100k round).
+/// plane (Network's default), the baseline BM_DeliverSharded is compared
+/// against.
 void BM_DeliverFlat(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph& g = flood_graph(n);
@@ -195,22 +126,7 @@ BENCHMARK(BM_DeliverSharded)
   return 1;
 }();
 
-void BM_DeliverSeedNested(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = flood_graph(n);
-  SeedNestedKernel kernel(g);
-  for (auto _ : state) {
-    state.PauseTiming();
-    stage_flood(g, kernel);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(kernel.exchange());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.volume()));
-}
-BENCHMARK(BM_DeliverSeedNested)->Arg(10000)->Arg(100000);
-
-/// Whole staged round (staging + delivery) through each kernel.
+/// Whole staged round (staging + delivery) through the engine.
 void BM_RoundFlat(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
@@ -225,20 +141,6 @@ void BM_RoundFlat(benchmark::State& state) {
                           static_cast<std::int64_t>(g.volume()));
 }
 BENCHMARK(BM_RoundFlat)->Arg(10000)->Arg(100000);
-
-void BM_RoundSeedNested(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const Graph g = gen::random_regular(n, 6, rng);
-  SeedNestedKernel kernel(g);
-  for (auto _ : state) {
-    stage_flood(g, kernel);
-    benchmark::DoNotOptimize(kernel.exchange());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.volume()));
-}
-BENCHMARK(BM_RoundSeedNested)->Arg(10000)->Arg(100000);
 
 void BM_ExchangeFlood(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

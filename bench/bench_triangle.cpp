@@ -9,13 +9,12 @@
 //   E4b  sparse graphs: the decomposition splits and the E* recursion
 //        engages; exactness against ground truth everywhere.
 //   E4c  router ablation: GKS cost model vs fully simulated TreeRouter.
-//   E4d  proxy-join data plane, flat vs seed: the flat-arena
+//   E4d  proxy-join data plane: wall clock of the flat-arena
 //        enumerate_cluster (triple ranking + sort-grouped buckets + CSR
-//        merge join + stamped scratch) against the retained seed reference
-//        (hashed host table, std::map buckets, per-bucket hash join,
-//        per-cluster O(n) membership vectors) over a 100-cluster workload
-//        at --scale ambient vertices.  --json PATH emits the E4d summary
-//        (the BENCH_triangle.json trajectory point; acceptance: >= 3x).
+//        merge join + stamped scratch) over a 100-cluster workload at
+//        --scale ambient vertices, checked exact against the local
+//        baseline's triangle count.  --json PATH emits the E4d summary
+//        (the BENCH_triangle.json trajectory point).
 
 #include <algorithm>
 #include <chrono>
@@ -92,9 +91,11 @@ void print_kernel_table(const char* title) {
   std::cout << "merge-kernel ISA: " << isa_name(active_isa()) << "\n\n";
 }
 
-/// E4d: flat vs seed proxy data plane over a synthetic multi-cluster level
+/// E4d: the flat proxy data plane over a synthetic multi-cluster level
 /// (disjoint G(cn, 8/cn) blocks, one cluster each -- the per-cluster shape
 /// the decomposition hands the enumerator, without decomposition cost).
+/// The blocks are disjoint clusters, so their triangles together are all
+/// of g's: the flat total must equal enumerate_local_baseline's count.
 std::string run_e4d(std::size_t scale) {
   using namespace xd;
   const std::size_t cn = 1000;  // vertices per cluster
@@ -135,28 +136,8 @@ std::string run_e4d(std::size_t scale) {
     }
   }
 
-  // Seed arm: the reference plane plus the seed driver's per-cluster O(n)
-  // membership vectors.
-  const auto run_seed = [&] {
-    std::uint64_t tris = 0, demands = 0;
-    for (std::size_t c = 0; c < clusters; ++c) {
-      std::vector<char> in_cluster(n, 0);
-      std::vector<VertexId> to_local(n, 0);
-      for (std::size_t i = 0; i < members[c].size(); ++i) {
-        in_cluster[members[c][i]] = 1;
-        to_local[members[c][i]] = static_cast<VertexId>(i);
-      }
-      NullRouter router;
-      tris += triangle::enumerate_cluster_reference(g, cluster_edges[c],
-                                                    in_cluster, groups, p,
-                                                    router, to_local,
-                                                    members[c])
-                  .size();
-      demands += router.demands();
-    }
-    return std::pair{tris, demands};
-  };
-  // Flat arm: stamped arena membership + the flat tuple plane.
+  // One pass over every cluster: stamped arena membership + the flat
+  // tuple plane.
   const auto run_flat = [&] {
     std::uint64_t tris = 0, demands = 0;
     auto& scratch = triangle::TriangleScratch::for_thread();
@@ -174,25 +155,22 @@ std::string run_e4d(std::size_t scale) {
     return std::pair{tris, demands};
   };
 
-  const auto [seed_tris, seed_demands] = run_seed();
   const auto [flat_tris, flat_demands] = run_flat();  // also warms the arena
-  const bool exact =
-      seed_tris == flat_tris && seed_demands == flat_demands;
+  congest::RoundLedger baseline_ledger;
+  const std::uint64_t baseline_tris =
+      triangle::enumerate_local_baseline(g, baseline_ledger).triangles.size();
+  const bool exact = flat_tris == baseline_tris;
 
   constexpr int kReps = 3;
-  double seed_ms = 0, flat_ms = 0;
+  double flat_ms = 0;
   for (int r = 0; r < kReps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    (void)run_seed();
-    const double s = ms_since(t0);
-    seed_ms = r == 0 ? s : std::min(seed_ms, s);
-    t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     (void)run_flat();
     const double f = ms_since(t0);
     flat_ms = r == 0 ? f : std::min(flat_ms, f);
   }
   // Steady-state arena accounting + per-kernel attribution over one more
-  // full pass (timing enabled only here, so the comparison reps above stay
+  // full pass (timing enabled only here, so the timed reps above stay
   // clean of clock reads).
   const auto warm = triangle::TriangleScratch::for_thread().to_local.stats();
   triangle::intersect::reset_thread_stats();
@@ -201,16 +179,14 @@ std::string run_e4d(std::size_t scale) {
   triangle::intersect::set_timing_enabled(false);
   const auto after = triangle::TriangleScratch::for_thread().to_local.stats();
 
-  const double speedup = flat_ms > 0 ? seed_ms / flat_ms : 0.0;
-  Table e4d("E4d: proxy-join data plane, flat vs seed (wall clock)",
-            {"n", "clusters", "p", "edges", "triangles", "seed ms", "flat ms",
-             "speedup", "exact?"});
+  Table e4d("E4d: proxy-join data plane (wall clock)",
+            {"n", "clusters", "p", "edges", "triangles", "flat ms",
+             "exact?"});
   e4d.add_row({Table::cell(static_cast<std::uint64_t>(n)),
                Table::cell(static_cast<std::uint64_t>(clusters)),
                Table::cell(static_cast<std::uint64_t>(p)),
                Table::cell(static_cast<std::uint64_t>(g.num_edges())),
-               Table::cell(flat_tris), Table::cell(seed_ms),
-               Table::cell(flat_ms), Table::cell(speedup),
+               Table::cell(flat_tris), Table::cell(flat_ms),
                exact ? "yes" : "NO"});
   e4d.print();
   std::cout << "scratch arena steady state: grown "
@@ -225,12 +201,9 @@ std::string run_e4d(std::size_t scale) {
       << "    \"p\": " << p << ",\n"
       << "    \"edges\": " << g.num_edges() << ",\n"
       << "    \"triangles\": " << flat_tris << ",\n"
+      << "    \"baseline_triangles\": " << baseline_tris << ",\n"
       << "    \"demands\": " << flat_demands << ",\n"
-      << "    \"seed_ms\": " << seed_ms << ",\n"
       << "    \"flat_ms\": " << flat_ms << ",\n"
-      << "    \"speedup\": " << speedup << ",\n"
-      << "    \"meets_3x_bar\": " << (speedup >= 3.0 ? "true" : "false")
-      << ",\n"
       << "    \"scratch_grown_steady\": " << after.grown - warm.grown << ",\n"
       << "    \"scratch_reused_steady\": " << after.reused - warm.reused
       << ",\n"
@@ -240,23 +213,18 @@ std::string run_e4d(std::size_t scale) {
   return out.str();
 }
 
-/// E4d-large: the join phase alone, at million-edge scale, against the
-/// PR 4 scalar paths.  Two components, matching the two consumers:
+/// E4d-large: the join phase alone, at million-edge scale.  Two
+/// components, matching the two consumers:
 ///
 ///  * **bucket**: one dense cluster's proxy-tuple plane (every edge shipped
 ///    to its p proxy triples, exactly the data-plane expansion), joined by
-///    the kernelized join_proxy_buckets vs the retained per-candidate
-///    binary-search probe join;
-///  * **csr**: the local baseline's CSR merge join on a skewed graph
-///    (loaded from --input, else preferential attachment -- hubs cross the
-///    bitmap threshold), kernelized csr_triangle_join vs the retained
-///    two-pointer reference.
+///    the kernelized join_proxy_buckets;
+///  * **csr**: the local baseline's CSR merge join csr_triangle_join on a
+///    skewed graph (loaded from --input, else preferential attachment --
+///    hubs cross the bitmap threshold).
 ///
-/// Both comparisons assert bit-identical triangle output before timing.
-/// The bucket ratio -- the triangle plane's join phase against PR 4's
-/// wedge-probe scalar path -- is the >= 3x acceptance number; the CSR A/B
-/// (memory-bound at this scale: the probes are random stamped bit tests
-/// into an L2-resident slab) and the combined ratio are reported alongside.
+/// Each join is checked against triangles_exact on its graph before it is
+/// timed.
 std::string run_e4d_large(std::size_t scale, const std::string& input,
                           bool reorder) {
   using namespace xd;
@@ -285,35 +253,23 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
 
   triangle::JoinScratch js;
   std::vector<triangle::Triangle> tris;
-  const auto bucket_arm = [&](bool kernelized) {
-    auto tuples = plane;  // the joins group in place; copy per arm
+  const auto bucket_join = [&] {
+    auto tuples = plane;  // the join groups in place; copy per pass
     tris.clear();
-    if (kernelized) {
-      triangle::join_proxy_buckets(tuples, ranker, groups.data(), js, tris);
-    } else {
-      triangle::join_proxy_buckets_probe(tuples, ranker, groups.data(), js,
-                                         tris);
-    }
+    triangle::join_proxy_buckets(tuples, ranker, groups.data(), js, tris);
   };
-  bucket_arm(false);
-  auto bucket_want = tris;
-  bucket_arm(true);
-  const bool bucket_identical = tris == bucket_want;
-  bucket_want.clear();
-  bucket_want.shrink_to_fit();
+  bucket_join();
+  std::sort(tris.begin(), tris.end());  // bucket order -> (x, y, z) order
+  const bool bucket_exact = tris == triangles_exact(cg);
   const std::uint64_t bucket_tris = tris.size();
 
   constexpr int kReps = 3;
-  double bucket_probe_ms = 0, bucket_kernel_ms = 0;
+  double bucket_ms = 0;
   for (int r = 0; r < kReps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    bucket_arm(false);
-    const double pm = ms_since(t0);
-    bucket_probe_ms = r == 0 ? pm : std::min(bucket_probe_ms, pm);
-    t0 = std::chrono::steady_clock::now();
-    bucket_arm(true);
-    const double km = ms_since(t0);
-    bucket_kernel_ms = r == 0 ? km : std::min(bucket_kernel_ms, km);
+    const auto t0 = std::chrono::steady_clock::now();
+    bucket_join();
+    const double ms = ms_since(t0);
+    bucket_ms = r == 0 ? ms : std::min(bucket_ms, ms);
   }
 
   // ---- CSR-join component ----------------------------------------------
@@ -347,92 +303,56 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
     offsets[v + 1] = static_cast<std::uint32_t>(adj.size());
   }
 
-  const auto csr_arm = [&](bool kernelized) {
+  const auto csr_join = [&] {
     tris.clear();
-    if (kernelized) {
-      triangle::csr_triangle_join(offsets.data(), adj.data(), bn, tris);
-    } else {
-      triangle::csr_triangle_join_reference(offsets.data(), adj.data(), bn,
-                                            tris);
-    }
+    triangle::csr_triangle_join(offsets.data(), adj.data(), bn, tris);
   };
-  csr_arm(false);
-  auto csr_want = tris;
-  csr_arm(true);
-  const bool csr_identical = tris == csr_want;
-  csr_want.clear();
-  csr_want.shrink_to_fit();
+  csr_join();
+  const bool csr_exact = tris == triangles_exact(big);
   const std::uint64_t csr_tris = tris.size();
 
-  double csr_ref_ms = 0, csr_kernel_ms = 0;
+  double csr_ms = 0;
   for (int r = 0; r < kReps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    csr_arm(false);
-    const double rm = ms_since(t0);
-    csr_ref_ms = r == 0 ? rm : std::min(csr_ref_ms, rm);
-    t0 = std::chrono::steady_clock::now();
-    csr_arm(true);
-    const double km = ms_since(t0);
-    csr_kernel_ms = r == 0 ? km : std::min(csr_kernel_ms, km);
+    const auto t0 = std::chrono::steady_clock::now();
+    csr_join();
+    const double ms = ms_since(t0);
+    csr_ms = r == 0 ? ms : std::min(csr_ms, ms);
   }
 
-  // Attribution pass: both kernelized arms once, with timing on.
+  // Attribution pass: both joins once, with timing on.
   triangle::intersect::reset_thread_stats();
   triangle::intersect::set_timing_enabled(true);
-  bucket_arm(true);
-  csr_arm(true);
+  bucket_join();
+  csr_join();
   triangle::intersect::set_timing_enabled(false);
 
-  const double bucket_speedup =
-      bucket_kernel_ms > 0 ? bucket_probe_ms / bucket_kernel_ms : 0.0;
-  const double csr_speedup =
-      csr_kernel_ms > 0 ? csr_ref_ms / csr_kernel_ms : 0.0;
-  const double old_ms = bucket_probe_ms + csr_ref_ms;
-  const double new_ms = bucket_kernel_ms + csr_kernel_ms;
-  const double combined_speedup = new_ms > 0 ? old_ms / new_ms : 0.0;
-  const bool identical = bucket_identical && csr_identical;
-
-  Table t("E4d-large: join phase, hybrid kernels vs PR 4 scalar paths",
-          {"component", "work", "triangles", "scalar ms", "kernel ms",
-           "speedup", "identical?"});
+  const bool exact = bucket_exact && csr_exact;
+  Table t("E4d-large: join phase on the hybrid kernels",
+          {"component", "work", "triangles", "kernel ms", "exact?"});
   t.add_row({"bucket join", Table::cell(static_cast<std::uint64_t>(plane.size())),
-             Table::cell(bucket_tris), Table::cell(bucket_probe_ms),
-             Table::cell(bucket_kernel_ms), Table::cell(bucket_speedup),
-             bucket_identical ? "yes" : "NO"});
+             Table::cell(bucket_tris), Table::cell(bucket_ms),
+             bucket_exact ? "yes" : "NO"});
   t.add_row({"csr join",
              Table::cell(static_cast<std::uint64_t>(big.num_edges())),
-             Table::cell(csr_tris), Table::cell(csr_ref_ms),
-             Table::cell(csr_kernel_ms), Table::cell(csr_speedup),
-             csr_identical ? "yes" : "NO"});
+             Table::cell(csr_tris), Table::cell(csr_ms),
+             csr_exact ? "yes" : "NO"});
   t.print();
-  std::cout << "proxy-join phase: " << bucket_probe_ms << " ms -> "
-            << bucket_kernel_ms << " ms (" << bucket_speedup
-            << "x, acceptance >= 3x); combined with csr: " << old_ms
-            << " ms -> " << new_ms << " ms (" << combined_speedup << "x)\n";
-  print_kernel_table("E4d-large kernel attribution (one kernelized pass)");
+  print_kernel_table("E4d-large kernel attribution (one pass of each join)");
 
   std::ostringstream out;
   out << "  \"e4d_large\": {\n"
       << "    \"scale\": " << scale << ",\n"
       << "    \"bucket\": {\"tuples\": " << plane.size()
       << ", \"p\": " << p << ", \"triangles\": " << bucket_tris
-      << ", \"probe_ms\": " << bucket_probe_ms
-      << ", \"kernel_ms\": " << bucket_kernel_ms
-      << ", \"speedup\": " << bucket_speedup << ", \"identical\": "
-      << (bucket_identical ? "true" : "false") << "},\n"
+      << ", \"kernel_ms\": " << bucket_ms << ", \"exact\": "
+      << (bucket_exact ? "true" : "false") << "},\n"
       << "    \"csr\": {\"source\": \"" << source << "\", \"n\": " << bn
       << ", \"edges\": " << big.num_edges()
       << ", \"reordered\": " << (reorder ? "true" : "false")
-      << ", \"triangles\": " << csr_tris << ", \"ref_ms\": " << csr_ref_ms
-      << ", \"kernel_ms\": " << csr_kernel_ms
-      << ", \"speedup\": " << csr_speedup << ", \"identical\": "
-      << (csr_identical ? "true" : "false") << "},\n"
-      << "    \"join_speedup\": " << bucket_speedup << ",\n"
-      << "    \"combined_speedup\": " << combined_speedup << ",\n"
-      << "    \"meets_3x_bar\": " << (bucket_speedup >= 3.0 ? "true" : "false")
-      << ",\n"
+      << ", \"triangles\": " << csr_tris << ", \"kernel_ms\": " << csr_ms
+      << ", \"exact\": " << (csr_exact ? "true" : "false") << "},\n"
       << kernels_json("    ") << ",\n"
-      << "    \"bit_identical\": " << (identical ? "true" : "false") << "\n"
+      << "    \"exact\": " << (exact ? "true" : "false") << "\n"
       << "  }";
   return out.str();
 }
@@ -597,9 +517,8 @@ int main(int argc, char** argv) {
   }
   e4c.print();
 
-  // The small E4d (flat-vs-seed plane) always runs -- it is the standing
-  // trajectory point -- at its own scale cap in large mode (the seed arm's
-  // per-cluster O(n) vectors would dominate a million-vertex run).
+  // The small E4d always runs -- it is the standing trajectory point -- at
+  // its 100k scale in large mode, so large runs extend the same series.
   std::vector<std::string> fragments;
   try {
     fragments.push_back(run_e4d(large ? std::min<std::size_t>(scale, 100000)

@@ -1,8 +1,6 @@
 #include "routing/queue_arena.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 
 #include "util/check.hpp"
 
@@ -113,7 +111,6 @@ QueueArena::DrainResult QueueArena::drain() {
   // Synchronous drain: per round, each nonempty edge queue (ascending
   // (u, v) order -- the edge-id order) forwards its front message; the
   // forwarded messages then enqueue their next hop in the same order.
-  // This is exactly the seed map's schedule (drain_reference below).
   while (undelivered > 0) {
     ++out.rounds;
     XD_CHECK_MSG(out.rounds < 100 * msgs + 1000,
@@ -130,60 +127,6 @@ QueueArena::DrainResult QueueArena::drain() {
       if (pos + 1 < path_offsets_[mi + 1]) {
         auto& q = queue_state_.ref(hop_edges_[pos + 1]);
         ring_slots_[q.tail++] = mi;
-      } else {
-        out.arrivals[mi] = out.rounds;
-        --undelivered;
-      }
-    }
-  }
-  return out;
-}
-
-QueueArena::DrainResult QueueArena::drain_reference() const {
-  const std::size_t msgs = batch_size();
-  const std::uint64_t stride = graph_->num_vertices();
-  // Seed bugfix, applied here too: the original packed the pair as
-  // (u << 32) | v, silently truncating a wider VertexId.  u * n + v in 64
-  // bits has the identical (u, v)-lexicographic ordering with no overflow
-  // for any n that fits a Graph (checked).
-  XD_CHECK(stride <= (std::uint64_t{1} << 32));
-  const auto edge_key = [stride](VertexId u, VertexId v) {
-    XD_CHECK(u < stride && v < stride);
-    return static_cast<std::uint64_t>(u) * stride + v;
-  };
-
-  DrainResult out;
-  out.arrivals.assign(msgs, 0);
-  std::vector<std::uint32_t> at(msgs, 0);
-  std::map<std::uint64_t, std::deque<std::size_t>> queues;
-  std::size_t undelivered = 0;
-  for (std::size_t i = 0; i < msgs; ++i) {
-    const std::uint32_t b = path_offsets_[i];
-    if (path_offsets_[i + 1] - b >= 2) {
-      queues[edge_key(path_data_[b], path_data_[b + 1])].push_back(i);
-      ++undelivered;
-    }
-  }
-
-  std::vector<std::pair<std::uint64_t, std::size_t>> moves;
-  while (undelivered > 0) {
-    ++out.rounds;
-    XD_CHECK_MSG(out.rounds < 100 * msgs + 1000,
-                 "store-and-forward failed to drain");
-    moves.clear();
-    for (auto& [edge, q] : queues) {
-      if (!q.empty()) {
-        moves.push_back({edge, q.front()});
-        q.pop_front();
-      }
-    }
-    for (const auto& [edge, mi] : moves) {
-      ++out.messages_sent;
-      const std::uint32_t pos = path_offsets_[mi] + ++at[mi];
-      XD_CHECK(path_data_[pos] ==
-               static_cast<VertexId>(edge % stride));
-      if (pos + 1 < path_offsets_[mi + 1]) {
-        queues[edge_key(path_data_[pos], path_data_[pos + 1])].push_back(mi);
       } else {
         out.arrivals[mi] = out.rounds;
         --undelivered;

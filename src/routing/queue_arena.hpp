@@ -6,14 +6,11 @@
 /// Both fully simulated routers (TreeRouter, SimulatedHierarchicalRouter)
 /// end the same way: a batch of messages, each with a precomputed vertex
 /// path, drained synchronously at one message per directed edge per round
-/// with per-edge FIFO queues.  The seed implementation kept a
-/// `std::map<packed(u,v), std::deque>` per route() call -- the last
-/// node-based hot loop in the library.  This arena replaces it with flat
-/// storage:
+/// with per-edge FIFO queues.  The arena keeps that in flat storage:
 ///
 ///   * a per-graph CSR index over *unique directed non-loop edges*,
-///     ordered (u ascending, v ascending) -- exactly the iteration order of
-///     the seed's packed-key map, so the drain schedule is bit-identical;
+///     ordered (u ascending, v ascending) -- the order in which queues
+///     forward each round, which fixes the drain schedule;
 ///   * one contiguous ring-slot vector holding every queued message id:
 ///     each edge owns a pre-counted span of it (counts come from a single
 ///     pass over the staged paths), and per-edge head/tail offsets walk
@@ -22,14 +19,8 @@
 ///     drain touching q edges costs O(q), not O(E), to reset.
 ///
 /// Paths are staged flat too (one concatenated vertex vector + offsets),
-/// with each hop's edge id resolved once at staging time.
-///
-/// The seed semantics are retained as drain_reference() -- an ordered map
-/// of FIFO deques -- as the differential-testing oracle and the
-/// bench_routing flat-vs-map baseline.  The seed's 32-bit key packing is
-/// gone: keys are now `u * n + v` in 64 bits (identical ordering, no
-/// silent truncation if VertexId ever widens), and every staged hop is
-/// checked to be a real directed edge of the graph.
+/// with each hop's edge id resolved once at staging time, and every
+/// staged hop is checked to be a real directed edge of the graph.
 
 #include <cstdint>
 #include <vector>
@@ -92,13 +83,8 @@ class QueueArena {
 
   /// Flat drain of the staged batch: per round, every nonempty edge queue
   /// (ascending (u, v) order) forwards its front message.  The batch stays
-  /// staged, so drain_reference() can replay the same messages.
+  /// staged, so a second drain() replays the same messages.
   [[nodiscard]] DrainResult drain();
-
-  /// The seed's map-of-deques implementation of the same schedule --
-  /// differential oracle (tests pin drain() bit-identical to this) and the
-  /// flat-vs-map baseline for bench_routing E5d.
-  [[nodiscard]] DrainResult drain_reference() const;
 
   /// Per-edge scratch growth/reuse counters (regression hook: the steady
   /// state must stop growing).

@@ -26,8 +26,8 @@ static_assert(std::endian::native == std::endian::little,
 constexpr std::size_t kHeaderBytes = 32;
 constexpr std::size_t kSectionEntryBytes = 24;
 constexpr std::size_t kSectionCount = 6;
-/// Offset of the header's reserved u64, now the whole-file CRC-32C slot
-/// (0 = checksum absent, the legacy meaning of the reserved field).
+/// Offset of the header's whole-file CRC-32C slot (a u64 whose high 32
+/// bits are zero).
 constexpr std::size_t kCrcAt = 24;
 
 constexpr std::uint32_t section_tag(const char (&t)[5]) {
@@ -398,8 +398,7 @@ void save_artifact(const PreparedArtifact& art, const std::string& path) {
   // Header integrity: CRC-32C of the whole file computed while the
   // reserved u64 at offset 24 still holds zero, then stored there (the low
   // 32 bits; the high 32 stay zero).  Loaders recompute over the same
-  // zeroed field; a legacy file's zero there means "no checksum" and skips
-  // the verify, so version stays 1 and save(load(save(x))) stays
+  // zeroed field on every file, so save(load(save(x))) stays
   // byte-identical.
   const std::uint32_t crc = crc32c(sink.bytes().data(), sink.size());
   sink.patch_u64(kCrcAt, crc);
@@ -436,17 +435,16 @@ PreparedArtifact load_artifact(const std::string& path) {
   const auto stored_crc = header.get<std::uint64_t>();
   XD_CHECK_MSG(stored_crc <= 0xffffffffu,
                path << ": reserved header bits set (not an XDA1 checksum)");
-  if (stored_crc != 0) {
-    // Recompute over the file with the crc slot taken as zero (the bytes
-    // it held when the writer checksummed them).
-    static constexpr unsigned char kZero[8] = {0};
-    std::uint32_t c = crc32c(file.data(), kCrcAt);
-    c = crc32c_update(c, kZero, 8);
-    c = crc32c_update(c, file.data() + kCrcAt + 8, file.size() - kCrcAt - 8);
-    XD_CHECK_MSG(c == stored_crc,
-                 path << ": file checksum mismatch (stored " << stored_crc
-                      << ", computed " << c << ") -- corrupt artifact");
-  }
+  // Recompute over the file with the crc slot taken as zero (the bytes it
+  // held when the writer checksummed them).  Every file is verified.
+  static constexpr unsigned char kZero[8] = {0};
+  std::uint32_t crc = crc32c(file.data(), kCrcAt);
+  crc = crc32c_update(crc, kZero, 8);
+  crc = crc32c_update(crc, file.data() + kCrcAt + 8,
+                      file.size() - kCrcAt - 8);
+  XD_CHECK_MSG(crc == stored_crc,
+               path << ": file checksum mismatch (stored " << stored_crc
+                    << ", computed " << crc << ") -- corrupt artifact");
 
   const std::size_t table_end =
       kHeaderBytes + kSectionCount * kSectionEntryBytes;

@@ -48,33 +48,6 @@ void csr_triangle_join(const std::uint32_t* offsets, const VertexId* adj,
   }
 }
 
-void csr_triangle_join_reference(const std::uint32_t* offsets,
-                                 const VertexId* adj, std::size_t n,
-                                 std::vector<Triangle>& out) {
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId* av_end = adj + offsets[v + 1];
-    for (const VertexId* pu = adj + offsets[v]; pu != av_end; ++pu) {
-      const VertexId u = *pu;
-      if (u <= v) continue;
-      const VertexId* x = pu + 1;  // N(v) entries > u
-      const VertexId* y = adj + offsets[u];
-      const VertexId* y_end = adj + offsets[u + 1];
-      y = std::upper_bound(y, y_end, u);
-      while (x != av_end && y != y_end) {
-        if (*x < *y) {
-          ++x;
-        } else if (*y < *x) {
-          ++y;
-        } else {
-          out.push_back(Triangle{v, u, *x});
-          ++x;
-          ++y;
-        }
-      }
-    }
-  }
-}
-
 EnumerationResult enumerate_local_baseline(const Graph& g,
                                            congest::RoundLedger& ledger) {
   EnumerationResult out;

@@ -29,15 +29,9 @@ EnumerationResult enumerate_local_baseline(const Graph& g,
 /// searches run on the hybrid intersection kernels (intersect.hpp): the
 /// merge kernel per oriented edge, or -- for vertices whose degree clears
 /// the bitmap threshold -- one epoch-stamped bitmap of N(v) probed by
-/// every N(u).  Output is bit-identical to csr_triangle_join_reference
-/// under every kernel/ISA.
+/// every N(u).  Output is identical under every kernel/ISA and equals
+/// triangles_exact (graph/metrics.hpp) on the same graph.
 void csr_triangle_join(const std::uint32_t* offsets, const VertexId* adj,
                        std::size_t n, std::vector<Triangle>& out);
-
-/// The PR 4 scalar two-pointer join, retained as the kernel differential
-/// oracle and the E4d join-phase baseline.  Identical output.
-void csr_triangle_join_reference(const std::uint32_t* offsets,
-                                 const VertexId* adj, std::size_t n,
-                                 std::vector<Triangle>& out);
 
 }  // namespace xd::triangle

@@ -8,11 +8,10 @@ namespace xd::triangle {
 
 namespace {
 
-/// Orders the plane by (rank, u, v) and dedups -- the shared grouping pass
-/// of both join variants.  The counting path pays an O(R) counter clear,
-/// so take it only when the plane is at least a constant fraction of the
-/// rank domain; sparse planes comparison-sort directly.  Both paths
-/// produce the identical ordering.
+/// Orders the plane by (rank, u, v) and dedups.  The counting path pays an
+/// O(R) counter clear, so take it only when the plane is at least a
+/// constant fraction of the rank domain; sparse planes comparison-sort
+/// directly.  Both paths produce the identical ordering.
 void group_tuples(std::vector<ProxyTuple>& tuples, const TripleRanker& ranker,
                   JoinScratch& js) {
   const std::uint64_t num_ranks = ranker.count();
@@ -53,7 +52,7 @@ void group_tuples(std::vector<ProxyTuple>& tuples, const TripleRanker& ranker,
 /// High-degree runs build an epoch-stamped bitmap of run(x) once and probe
 /// each run(y) against it; the bitmap holds *all* of run(x), but every
 /// probed z is > y, so the match set equals the tail intersection exactly.
-/// Emission order (x asc, y asc, z asc) matches the probe join bit for bit.
+/// Emission order is (x asc, y asc, z asc).
 void join_bucket_kernel(const std::vector<ProxyTuple>& tuples, std::size_t lo,
                         std::size_t hi, std::uint64_t rank,
                         const TripleRanker& ranker,
@@ -132,50 +131,6 @@ void join_proxy_buckets(std::vector<ProxyTuple>& tuples,
     std::size_t hi = lo;
     while (hi < n && tuples[hi].rank == rank) ++hi;
     join_bucket_kernel(tuples, lo, hi, rank, ranker, groups, js, out);
-    lo = hi;
-  }
-}
-
-void join_proxy_buckets_probe(std::vector<ProxyTuple>& tuples,
-                              const TripleRanker& ranker,
-                              const std::uint32_t* groups, JoinScratch& js,
-                              std::vector<Triangle>& out) {
-  if (tuples.empty()) return;
-  group_tuples(tuples, ranker, js);
-
-  // Wedge-probe join, one bucket span at a time (the PR 4 loop): every
-  // candidate pair performs one binary search over the remaining span.
-  const std::size_t n = tuples.size();
-  std::size_t lo = 0;
-  while (lo < n) {
-    const std::uint64_t rank = tuples[lo].rank;
-    std::size_t hi = lo;
-    while (hi < n && tuples[hi].rank == rank) ++hi;
-    // Runs sharing the smaller endpoint x are consecutive; every pair of
-    // run members (x, y), (x, z) with y < z is a wedge whose closing edge
-    // (y, z) -- if present -- lives past the run (y > x), still in-span.
-    std::size_t i = lo;
-    while (i < hi) {
-      const VertexId x = tuples[i].u;
-      std::size_t j = i;
-      while (j < hi && tuples[j].u == x) ++j;
-      for (std::size_t a = i; a < j; ++a) {
-        for (std::size_t b = a + 1; b < j; ++b) {
-          const VertexId y = tuples[a].v;
-          const VertexId z = tuples[b].v;
-          if (!std::binary_search(tuples.begin() + j, tuples.begin() + hi,
-                                  ProxyTuple{rank, y, z})) {
-            continue;
-          }
-          // Report only at the owning proxy (no duplicates across
-          // proxies).
-          if (ranker.rank(groups[x], groups[y], groups[z]) == rank) {
-            out.push_back(Triangle{x, y, z});
-          }
-        }
-      }
-      i = j;
-    }
     lo = hi;
   }
 }

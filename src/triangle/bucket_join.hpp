@@ -5,25 +5,23 @@
 /// CONGESTED-CLIQUE (clique_dlp) triangle data planes.
 ///
 /// Every edge copy shipped to a proxy is one (rank, u, v) tuple; one pass
-/// groups the whole plane into buckets ordered by (rank, u, v) --
-/// ascending rank reproduces the seed's std::map iteration order (see
-/// triple_rank.hpp) and the in-bucket (u, v) order is the seed's
-/// per-bucket sort.  Dense planes take an O(N + R) counting scatter over
-/// the R = C(p+2,3) rank domain plus tiny per-bucket sorts; sparse planes
-/// (small clusters) skip the O(R) counter clear and comparison-sort
-/// directly -- both orders are identical.
+/// groups the whole plane into buckets ordered by (rank, u, v) -- proxies
+/// in triple order (triple_rank.hpp), edges sorted within each bucket.
+/// Dense planes take an O(N + R) counting scatter over the R = C(p+2,3)
+/// rank domain plus tiny per-bucket sorts; sparse planes (small clusters)
+/// skip the O(R) counter clear and comparison-sort directly -- both orders
+/// are identical.
 ///
 /// Each bucket then joins with zero per-bucket setup: bucket edges sharing
 /// their smaller endpoint x sit consecutively (a *run*), every pair (x,y),
 /// (x,z) with y < z is a wedge, and the closing edges live in the run of y
 /// further down the same sorted span.  Each triangle is found exactly
-/// once, at its smallest vertex.  The default join routes the closing-edge
+/// once, at its smallest vertex.  The join routes the closing-edge
 /// search through the hybrid intersection kernels (intersect.hpp): per
 /// wedge source y, the x-run's tail is intersected with y's run -- merge
 /// kernel for mid-size runs, an epoch-stamped bitmap of the x-run for
-/// high-degree runs -- while join_proxy_buckets_probe retains the PR 4
-/// per-candidate binary-search loop as the differential oracle and the
-/// bench baseline (bench_triangle E4d's join-phase comparison).
+/// high-degree runs.  Tests check the join against triangles_exact
+/// (graph/metrics.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -69,19 +67,10 @@ struct JoinScratch {
 /// ownership rule that keeps reports duplicate-free across proxies).
 /// `groups[v]` is the group of ambient vertex v.  Closing-edge searches run
 /// on the hybrid intersection kernels; output (content and order) is
-/// bit-identical to join_proxy_buckets_probe under every kernel/ISA.
+/// identical under every kernel/ISA.
 void join_proxy_buckets(std::vector<ProxyTuple>& tuples,
                         const TripleRanker& ranker,
                         const std::uint32_t* groups, JoinScratch& scratch,
                         std::vector<Triangle>& out);
-
-/// The PR 4 join (per-candidate binary search over the bucket span),
-/// retained as the kernel differential oracle and the E4d join-phase
-/// baseline.  Identical output to join_proxy_buckets.
-void join_proxy_buckets_probe(std::vector<ProxyTuple>& tuples,
-                              const TripleRanker& ranker,
-                              const std::uint32_t* groups,
-                              JoinScratch& scratch,
-                              std::vector<Triangle>& out);
 
 }  // namespace xd::triangle

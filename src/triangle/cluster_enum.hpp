@@ -25,8 +25,8 @@
 /// and each bucket joins over a bucket-local CSR with two-pointer
 /// sorted-neighbor intersection (bucket_join.hpp).  All ambient-sized
 /// scratch is epoch-stamped and reused across clusters and levels
-/// (TriangleScratch).  The seed's node-based plane is retained as
-/// enumerate_cluster_reference for differential tests and benches.
+/// (TriangleScratch).  Tests check it against triangles_exact
+/// (graph/metrics.hpp) on the cluster's edge set.
 
 #include <cstdint>
 #include <vector>
@@ -74,17 +74,5 @@ std::vector<Triangle> enumerate_cluster(
     const std::vector<std::uint32_t>& groups, std::uint32_t p,
     routing::Router& router, const std::vector<VertexId>& cluster_vertices,
     TriangleScratch& scratch);
-
-/// The seed's node-based data plane (hashed host table, std::map buckets,
-/// per-bucket hash join, O(n) membership vectors), retained verbatim as
-/// the differential-testing oracle and the bench_triangle flat-vs-seed
-/// baseline.  Semantics -- outputs and the demand stream handed to
-/// `router` -- are identical to enumerate_cluster.
-std::vector<Triangle> enumerate_cluster_reference(
-    const Graph& ambient, const std::vector<EdgeId>& edge_ids,
-    const std::vector<char>& in_cluster,
-    const std::vector<std::uint32_t>& groups, std::uint32_t p,
-    routing::Router& router, const std::vector<VertexId>& to_local,
-    const std::vector<VertexId>& cluster_vertices);
 
 }  // namespace xd::triangle

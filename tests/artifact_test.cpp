@@ -11,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "triangle/enumerate.hpp"
 #include "util/check.hpp"
+#include "util/crc32c.hpp"
 #include "util/rng.hpp"
 
 namespace xd::serve {
@@ -77,6 +78,15 @@ T peek(const std::vector<unsigned char>& bytes, std::size_t offset) {
 
 constexpr std::size_t kHeader = 32;
 constexpr std::size_t kEntry = 24;
+constexpr std::size_t kCrcAt = 24;
+
+/// Re-computes the whole-file checksum the way save_artifact does (CRC-32C
+/// over the file with its slot zeroed), so a patched file gets past the
+/// checksum to the structural validator under test.
+void reseal(std::vector<unsigned char>& bytes) {
+  patch<std::uint64_t>(bytes, kCrcAt, 0);
+  patch<std::uint64_t>(bytes, kCrcAt, crc32c(bytes.data(), bytes.size()));
+}
 
 std::size_t section_offset(const std::vector<unsigned char>& bytes,
                            std::size_t s) {
@@ -299,7 +309,15 @@ class ArtifactReject : public ::testing::Test {
                      const char* what) {
     const std::string p = tmp_path("reject_mut.xda");
     write_file(p, bytes);
-    EXPECT_THROW((void)load_artifact(p), CheckError) << what;
+    try {
+      (void)load_artifact(p);
+      ADD_FAILURE() << what << ": corrupt file loaded";
+    } catch (const CheckError& e) {
+      // A resealed case must fail on its own validator, not the checksum.
+      EXPECT_EQ(std::string(e.what()).find("checksum mismatch"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
   }
 
   std::string path_;
@@ -348,6 +366,7 @@ TEST_F(ArtifactReject, TruncatedFile) {
 TEST_F(ArtifactReject, WrongSectionTag) {
   auto b = bytes_;
   patch<std::uint32_t>(b, kHeader + 2 * kEntry, 0x21212121u);
+  reseal(b);
   expect_reject(b, "tag");
 }
 
@@ -355,12 +374,14 @@ TEST_F(ArtifactReject, NonContiguousSections) {
   auto b = bytes_;
   patch<std::uint64_t>(b, kHeader + 1 * kEntry + 8,
                        section_offset(b, 1) + 8);
+  reseal(b);
   expect_reject(b, "offset gap");
 }
 
 TEST_F(ArtifactReject, SectionOverrunsFile) {
   auto b = bytes_;
   patch<std::uint64_t>(b, kHeader + 5 * kEntry + 16, section_size(b, 5) + 8);
+  reseal(b);
   expect_reject(b, "overrun");
 }
 
@@ -368,30 +389,35 @@ TEST_F(ArtifactReject, TrailingBytes) {
   auto b = bytes_;
   b.insert(b.end(), 4, 0);
   patch<std::uint64_t>(b, 16, b.size());
+  reseal(b);
   expect_reject(b, "trailing bytes");
 }
 
 TEST_F(ArtifactReject, GraphEdgeOutOfRange) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 0) + 16, 0xfffffff0u);
+  reseal(b);
   expect_reject(b, "edge endpoint");
 }
 
 TEST_F(ArtifactReject, GraphEdgeCountMismatch) {
   auto b = bytes_;
   patch<std::uint64_t>(b, section_offset(b, 0) + 8, m_ + 1);
+  reseal(b);
   expect_reject(b, "edge count");
 }
 
 TEST_F(ArtifactReject, ComponentLabelOutOfRange) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 1) + 32, 0xffffffffu);
+  reseal(b);
   expect_reject(b, "component label");
 }
 
 TEST_F(ArtifactReject, RemovedFlagNotBoolean) {
   auto b = bytes_;
   patch<std::uint8_t>(b, section_offset(b, 1) + 32 + 4 * n_, 2);
+  reseal(b);
   expect_reject(b, "removed flag");
 }
 
@@ -399,18 +425,21 @@ TEST_F(ArtifactReject, ComponentSizesDontSum) {
   auto b = bytes_;
   const std::size_t off = section_offset(b, 2) + 4;  // first size field
   patch<std::uint32_t>(b, off, peek<std::uint32_t>(b, off) + 1);
+  reseal(b);
   expect_reject(b, "size sum");
 }
 
 TEST_F(ArtifactReject, ZeroRouterDepth) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 3), 0);
+  reseal(b);
   expect_reject(b, "depth 0");
 }
 
 TEST_F(ArtifactReject, RelayParentOutOfRange) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 3) + 8, 0xffffffffu);
+  reseal(b);
   expect_reject(b, "relay parent");
 }
 
@@ -418,21 +447,21 @@ TEST_F(ArtifactReject, RelayDepthInconsistent) {
   auto b = bytes_;
   const std::size_t depth0 = section_offset(b, 3) + 8 + 4 * n_;
   patch<std::uint32_t>(b, depth0, peek<std::uint32_t>(b, depth0) + 5);
+  reseal(b);
   expect_reject(b, "relay depth");
 }
 
 TEST_F(ArtifactReject, TrianglesNotSorted) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 4) + 8, 0xfffffff0u);
+  reseal(b);
   expect_reject(b, "triangle order");
 }
 
 TEST_F(ArtifactReject, UnknownDecompositionBackend) {
   auto b = bytes_;
-  // Zero the whole-file checksum first (legacy "no checksum" sentinel) so
-  // the META range check itself fires, not the CRC mismatch.
-  patch<std::uint64_t>(b, 24, 0);
   patch<std::uint32_t>(b, section_offset(b, 5) + 68, 7u);
+  reseal(b);
   expect_reject(b, "decomposition backend");
 }
 
@@ -441,6 +470,7 @@ TEST_F(ArtifactReject, MetaSizeWrong) {
   patch<std::uint64_t>(b, kHeader + 5 * kEntry + 16, section_size(b, 5) - 8);
   patch<std::uint64_t>(b, 16, b.size() - 8);
   b.resize(b.size() - 8);
+  reseal(b);
   expect_reject(b, "meta size");
 }
 

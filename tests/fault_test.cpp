@@ -345,11 +345,11 @@ TEST(IoFaults, EveryCorruptionLoadsAsTypedError) {
   std::remove(path.c_str());
 }
 
-// A pre-CRC artifact (zero in the reserved slot) still loads: the checksum
-// is an upgrade, not a format break.
-TEST(IoFaults, LegacyArtifactWithoutChecksumStillLoads) {
+// Every file is CRC-verified: zeroing the checksum slot is a checksum
+// mismatch, not an unchecked load.
+TEST(IoFaults, ZeroedChecksumSlotIsRejected) {
   FaultGuard guard;
-  const std::string path = testing::TempDir() + "xd_fault_legacy.xda1";
+  const std::string path = testing::TempDir() + "xd_fault_zero_crc.xda1";
   const auto art = small_artifact();
   serve::save_artifact(art, path);
   {
@@ -359,8 +359,7 @@ TEST(IoFaults, LegacyArtifactWithoutChecksumStillLoads) {
     const char zeros[8] = {0};
     f.write(zeros, 8);
   }
-  const auto back = serve::load_artifact(path);
-  EXPECT_EQ(back.triangles.size(), art.triangles.size());
+  EXPECT_THROW((void)serve::load_artifact(path), CheckError);
   std::remove(path.c_str());
 }
 

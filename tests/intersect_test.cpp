@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/metrics.hpp"
 #include "triangle/baseline_local.hpp"
 #include "triangle/bucket_join.hpp"
 #include "triangle/triple_rank.hpp"
@@ -228,20 +229,24 @@ TEST(StampedBitset, EpochsLogicallyClear) {
 
 /// Random CSR built the way enumerate_local_baseline builds its plane:
 /// sorted loop-free neighbor lists.  `hub_every` wires dense hubs in to
-/// push runs past kBitmapMinDegree.
+/// push runs past kBitmapMinDegree.  `graph` holds the same edges, for the
+/// triangles_exact oracle.
 struct Csr {
   std::vector<std::uint32_t> offsets;
   std::vector<VertexId> adj;
+  Graph graph;
 };
 
 Csr random_csr(std::size_t n, double p, std::size_t hub_every, Rng& rng) {
   std::vector<std::vector<VertexId>> nbrs(n);
+  GraphBuilder builder(n);
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId v = u + 1; v < n; ++v) {
       const bool hub = (hub_every != 0) && (u % hub_every == 0);
       if (hub || rng.next_bool(p)) {
         nbrs[u].push_back(v);
         nbrs[v].push_back(u);
+        builder.add_edge(u, v);
       }
     }
   }
@@ -252,13 +257,14 @@ Csr random_csr(std::size_t n, double p, std::size_t hub_every, Rng& rng) {
     csr.adj.insert(csr.adj.end(), nbrs[v].begin(), nbrs[v].end());
     csr.offsets[v + 1] = static_cast<std::uint32_t>(csr.adj.size());
   }
+  csr.graph = builder.build();
   return csr;
 }
 
-// The kernelized CSR join against the retained PR 4 two-pointer oracle --
-// content AND order -- on shapes that exercise all three kernel classes
-// (sparse tails -> scalar, mid-density -> merge, hubs -> bitmap).
-TEST(IntersectConsumers, CsrJoinMatchesReference) {
+// The kernelized CSR join against the triangles_exact oracle -- content
+// AND order -- on shapes that exercise all three kernel classes (sparse
+// tails -> scalar, mid-density -> merge, hubs -> bitmap).
+TEST(IntersectConsumers, CsrJoinMatchesExact) {
   Rng rng(11);
   struct Shape {
     std::size_t n;
@@ -270,19 +276,18 @@ TEST(IntersectConsumers, CsrJoinMatchesReference) {
   for (const auto& shape : shapes) {
     const Csr csr = random_csr(shape.n, shape.p, shape.hub_every, rng);
     std::vector<Triangle> got;
-    std::vector<Triangle> want;
     csr_triangle_join(csr.offsets.data(), csr.adj.data(), shape.n, got);
-    csr_triangle_join_reference(csr.offsets.data(), csr.adj.data(), shape.n,
-                                want);
-    EXPECT_EQ(got, want) << "n=" << shape.n << " p=" << shape.p
-                         << " hub_every=" << shape.hub_every;
+    EXPECT_EQ(got, triangles_exact(csr.graph))
+        << "n=" << shape.n << " p=" << shape.p
+        << " hub_every=" << shape.hub_every;
   }
 }
 
-// The kernelized proxy-bucket join against the retained probe join on
+// The kernelized proxy-bucket join against the triangles_exact oracle on
 // random tuple planes, including planes dense enough to cross the bitmap
-// threshold inside single runs.
-TEST(IntersectConsumers, BucketJoinMatchesProbeJoin) {
+// threshold inside single runs.  Every edge reaches every proxy of its
+// group pair, so each triangle must be reported exactly once.
+TEST(IntersectConsumers, BucketJoinMatchesExact) {
   Rng rng(13);
   for (int trial = 0; trial < 6; ++trial) {
     const std::uint32_t p = 2 + static_cast<std::uint32_t>(trial);
@@ -294,9 +299,11 @@ TEST(IntersectConsumers, BucketJoinMatchesProbeJoin) {
     }
     const double density = trial % 2 == 0 ? 0.2 : 0.7;
     std::vector<ProxyTuple> tuples;
+    GraphBuilder builder(n);
     for (VertexId u = 0; u < n; ++u) {
       for (VertexId v = u + 1; v < n; ++v) {
         if (!rng.next_bool(density)) continue;
+        builder.add_edge(u, v);
         // Ship the edge to every proxy triple containing its group pair,
         // exactly like the data planes do.
         for (std::uint32_t w = 0; w < p; ++w) {
@@ -305,14 +312,13 @@ TEST(IntersectConsumers, BucketJoinMatchesProbeJoin) {
         }
       }
     }
-    auto shuffled = tuples;
-    JoinScratch js1;
-    JoinScratch js2;
+    JoinScratch js;
     std::vector<Triangle> got;
-    std::vector<Triangle> want;
-    join_proxy_buckets(tuples, ranker, groups.data(), js1, got);
-    join_proxy_buckets_probe(shuffled, ranker, groups.data(), js2, want);
-    EXPECT_EQ(got, want) << "trial " << trial;
+    join_proxy_buckets(tuples, ranker, groups.data(), js, got);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+        << "duplicate report, trial " << trial;
+    EXPECT_EQ(got, triangles_exact(builder.build())) << "trial " << trial;
   }
 }
 
