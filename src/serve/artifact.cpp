@@ -198,15 +198,13 @@ PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm) {
   const std::size_t n = g.num_vertices();
   congest::RoundLedger ledger;
 
-  // --- Theorem 1 decomposition (the serving partition). ---
-  expander::DecompositionParams dprm;
-  dprm.epsilon = prm.enumerate.epsilon;
-  dprm.k = prm.enumerate.k;
-  dprm.phi0_override = prm.enumerate.phi0_override;
-  dprm.scheduler_threads = prm.enumerate.scheduler_threads;
-  dprm.backend = prm.decomp_backend;
-  Rng drng = Rng(prm.seed).fork(0xD5C0);
-  const auto decomp = expander::expander_decomposition(g, dprm, drng, ledger);
+  // --- Theorem 1 decomposition: the serving partition, and Theorem 2's
+  // level 0 (the same graph, parameters and stream a direct
+  // enumerate_congest call would decompose with). ---
+  Rng drng = Rng(prm.seed).fork(triangle::kLevel0Stream);
+  const auto decomp = expander::expander_decomposition(
+      g, triangle::decomposition_params(prm.enumerate, prm.decomp_backend),
+      drng, ledger);
   art.component = decomp.component;
   art.num_components = static_cast<std::uint32_t>(decomp.num_components);
   art.removed_edge = decomp.removed_edge;
@@ -262,11 +260,12 @@ PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm) {
     }
   }
 
-  // --- Theorem 2 triangle plane.  Fresh Rng(seed): exactly the stream a
-  // direct enumerate_congest call would draw, so golden pins carry over.
+  // --- Theorem 2 triangle plane over the decomposition above.  Fresh
+  // Rng(seed): exactly the stream a direct enumerate_congest call would
+  // draw, so golden pins carry over and build_rounds == enum_rounds.
   Rng erng(prm.seed);
   const auto enumed =
-      triangle::enumerate_congest(g, prm.enumerate, erng, ledger);
+      triangle::enumerate_congest(g, prm.enumerate, erng, ledger, &decomp);
   art.triangles = enumed.triangles;
   art.enum_rounds = enumed.rounds;
   art.router_queries = enumed.router_queries;

@@ -50,7 +50,8 @@ inline constexpr std::uint32_t kArtifactVersion = 1;
 struct PrepareParams {
   triangle::EnumParams enumerate;
   std::uint64_t seed = 17;
-  /// Which Theorem 1 driver preprocesses the serving partition
+  /// Which Theorem 1 backend preprocesses the serving partition -- which is
+  /// also Theorem 2's level 0, so every enumeration level runs it too
   /// (docs/decomposition.md); recorded in META so a reloaded artifact
   /// reports which backend built it.
   expander::DecompositionBackend decomp_backend =
@@ -159,8 +160,9 @@ struct PreparedArtifact {
 
 /// Runs the whole preprocessing pipeline on g: Theorem 1 decomposition,
 /// per-component stats, relay forests + GKS summaries, and the Theorem 2
-/// triangle plane.  Deterministic in (g, prm): every scheduler thread
-/// count yields a byte-identical artifact.
+/// triangle plane.  The decomposition runs once and serves as Theorem 2's
+/// level 0, so build_rounds == enum_rounds.  Deterministic in (g, prm):
+/// every scheduler thread count yields a byte-identical artifact.
 PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm);
 
 /// Serializes to the XDA1 format.  save(load(save(x))) is byte-identical

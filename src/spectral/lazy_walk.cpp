@@ -62,46 +62,47 @@ SparseDist truncated_step(const G& g, const SparseDist& p, double epsilon) {
   // the renumbering is monotone, so every sort below induces the same
   // permutation either way.
   //
-  // Flat plane: one (receiver, sender, share) triple per directed support
-  // edge, sorted by (receiver, sender).  The support is sorted, so each
-  // receiver's group arrives sender-sorted and the summation order matches
-  // the seed's sorted `incoming` exactly (FP-identical); candidate
-  // enumeration is the merge of the support with the grouped receivers --
-  // two pointer walks, no hash lookups.
-  struct Contribution {
-    VertexId to, from;
-    double share;
-  };
-  std::vector<Contribution> inflow;
-  inflow.reserve(p.size() * 4);
+  // Flat plane: the support is sorted, so walking it in order hands every
+  // receiver its shares sender-sorted; they accumulate in a per-thread
+  // dense slab (FP-identical to summing the seed's sorted `incoming`) and
+  // only the distinct receivers are sorted.  Candidate enumeration is the
+  // merge of the support with those receivers -- two pointer walks.  Every
+  // share is > 0, so a zero slot means "not yet a receiver", and the merge
+  // zeroes each slot it reads: the slab is all zeros between calls.  The
+  // degree check runs up front so a throw never leaves the slab dirty.
+  for (const VertexId v : p.support) {
+    XD_CHECK_MSG(g.degree(v) > 0, "walk mass on an isolated vertex " << v);
+  }
+  thread_local std::vector<double> inflow;
+  thread_local std::vector<VertexId> receivers;
+  if (inflow.size() < g.num_vertices()) inflow.resize(g.num_vertices(), 0.0);
+  receivers.clear();
   for (std::size_t i = 0; i < p.size(); ++i) {
     const VertexId v = p.support[i];
-    XD_CHECK_MSG(g.degree(v) > 0, "walk mass on an isolated vertex " << v);
     const double share = p.mass[i] / (2.0 * g.degree(v));
     for (VertexId u : g.neighbors(v)) {
       if (u == v) continue;  // loop and masked slots retain mass below
-      inflow.push_back(Contribution{u, v, share});
+      if (inflow[u] == 0.0) receivers.push_back(u);
+      inflow[u] += share;
     }
   }
-  std::sort(inflow.begin(), inflow.end(),
-            [](const Contribution& a, const Contribution& b) {
-              return a.to != b.to ? a.to < b.to : a.from < b.from;
-            });
+  std::sort(receivers.begin(), receivers.end());
 
   SparseDist out;
   std::size_t si = 0;  // cursor into the sorted support
-  std::size_t ci = 0;  // cursor into the grouped inflow
-  while (si < p.size() || ci < inflow.size()) {
-    const VertexId u =
-        si < p.size() && (ci == inflow.size() || p.support[si] <= inflow[ci].to)
-            ? p.support[si]
-            : inflow[ci].to;
+  std::size_t ri = 0;  // cursor into the sorted receivers
+  while (si < p.size() || ri < receivers.size()) {
+    const VertexId u = si < p.size() && (ri == receivers.size() ||
+                                         p.support[si] <= receivers[ri])
+                           ? p.support[si]
+                           : receivers[ri];
     const double deg_u = g.degree(u);
     XD_CHECK_MSG(deg_u > 0, "walk mass on an isolated vertex " << u);
     double m = 0.0;
-    while (ci < inflow.size() && inflow[ci].to == u) {
-      m += inflow[ci].share;
-      ++ci;
+    if (ri < receivers.size() && receivers[ri] == u) {
+      m += inflow[u];
+      inflow[u] = 0.0;
+      ++ri;
     }
     if (si < p.size() && p.support[si] == u) {
       // Lazy half plus loop (and masked) slots depositing back.

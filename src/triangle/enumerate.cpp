@@ -9,7 +9,6 @@
 #include "expander/decomposition.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
-#include "graph/subgraph.hpp"
 #include "routing/hierarchical_router.hpp"
 #include "routing/simulated_router.hpp"
 #include "routing/tree_router.hpp"
@@ -67,9 +66,29 @@ void merge_triangles(std::vector<Triangle>& found, std::vector<Triangle>& batch)
 
 }  // namespace
 
-CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
-                                    Rng& rng, congest::RoundLedger& ledger) {
+expander::DecompositionParams decomposition_params(
+    const EnumParams& prm, expander::DecompositionBackend backend) {
+  expander::DecompositionParams d;
+  d.epsilon = prm.epsilon;
+  d.k = prm.k;
+  d.phi0_override = prm.phi0_override;
+  d.scheduler_threads = prm.scheduler_threads;
+  d.backend = backend;
+  return d;
+}
+
+CongestEnumResult enumerate_congest(
+    const Graph& g, const EnumParams& prm, Rng& rng,
+    congest::RoundLedger& ledger,
+    const expander::DecompositionResult* level0) {
   XD_CHECK(prm.epsilon > 0 && prm.epsilon <= 1.0 / 6.0 + 1e-12);
+  if (level0 != nullptr) {
+    XD_CHECK(level0->component.size() == g.num_vertices() &&
+             level0->removed_edge.size() == g.num_edges());
+  }
+  const expander::DecompositionParams dprm = decomposition_params(
+      prm, level0 != nullptr ? level0->backend
+                             : expander::DecompositionBackend::kNibble);
   CongestEnumResult out;
   const std::uint64_t before = ledger.rounds();
 
@@ -84,15 +103,27 @@ CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
 
   for (int level = 0; level < prm.max_levels && current.size() >= 3; ++level) {
     out.levels = level + 1;
-    const EdgeSubgraph sub = subgraph_of_edges(g, current);
 
-    // --- 1. Expander decomposition of the surviving subgraph. ---
-    expander::DecompositionParams dprm;
-    dprm.epsilon = prm.epsilon;
-    dprm.k = prm.k;
-    dprm.phi0_override = prm.phi0_override;
-    dprm.scheduler_threads = prm.scheduler_threads;
-    const auto decomp = expander_decomposition(sub.graph, dprm, rng, ledger);
+    // --- 1. Expander decomposition of the surviving edges. ---
+    // Level 0 is g itself: no copy, level ids are ambient ids, and the
+    // decomposition draws from its own fork (or is the caller's).  Levels
+    // >= 1 copy the E* subgraph and decompose it with the main stream.
+    EdgeSubgraph sub;
+    expander::DecompositionResult own;
+    const expander::DecompositionResult* decomp = level0;
+    if (level > 0) {
+      sub = subgraph_of_edges(g, current);
+      own = expander_decomposition(sub.graph, dprm, rng, ledger);
+      decomp = &own;
+    } else if (decomp == nullptr) {
+      Rng drng = rng.fork(kLevel0Stream);
+      own = expander_decomposition(g, dprm, drng, ledger);
+      decomp = &own;
+    }
+    const Graph& level_graph = level > 0 ? sub.graph : g;
+    const auto to_ambient = [&](VertexId lv) {
+      return level > 0 ? sub.to_parent[lv] : lv;
+    };
 
     // Per-level random group assignment over ambient vertex ids.
     std::vector<std::uint32_t> groups(g.num_vertices(), 0);
@@ -101,21 +132,21 @@ CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
     }
 
     // --- 2+3. Per-cluster routing structure and enumeration. ---
-    std::vector<std::vector<VertexId>> members(decomp.num_components);
-    for (VertexId lv = 0; lv < sub.graph.num_vertices(); ++lv) {
-      members[decomp.component[lv]].push_back(lv);
+    std::vector<std::vector<VertexId>> members(decomp->num_components);
+    for (VertexId lv = 0; lv < level_graph.num_vertices(); ++lv) {
+      members[decomp->component[lv]].push_back(lv);
     }
     // Cluster id per ambient vertex (kNone when not in this level's
     // subgraph).
     std::vector<std::uint32_t> cluster_of(g.num_vertices(),
                                           static_cast<std::uint32_t>(-1));
-    for (VertexId lv = 0; lv < sub.graph.num_vertices(); ++lv) {
-      cluster_of[sub.to_parent[lv]] = decomp.component[lv];
+    for (VertexId lv = 0; lv < level_graph.num_vertices(); ++lv) {
+      cluster_of[to_ambient(lv)] = decomp->component[lv];
     }
 
     // E_i lists (ambient edge ids) per cluster; an edge with endpoints in
     // two clusters joins both lists.
-    std::vector<std::vector<EdgeId>> cluster_edges(decomp.num_components);
+    std::vector<std::vector<EdgeId>> cluster_edges(decomp->num_components);
     std::vector<EdgeId> estar;
     for (const EdgeId e : current) {
       const auto [u, v] = g.edge(e);
@@ -131,12 +162,12 @@ CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
     }
 
     // Collect the level's non-trivial clusters into one scheduler epoch.
-    // Every item reads only level-shared immutable state (sub, decomp,
-    // groups, cluster_edges) plus its own pre-split Rng, so results are
-    // bit-identical whether the epoch runs sequentially or on any number
-    // of host threads; outputs merge in cluster order below.
+    // Every item reads only level-shared immutable state (the level graph,
+    // decomp, groups, cluster_edges) plus its own pre-split Rng, so results
+    // are bit-identical whether the epoch runs sequentially or on any
+    // number of host threads; outputs merge in cluster order below.
     std::vector<std::uint32_t> todo;
-    for (std::uint32_t c = 0; c < decomp.num_components; ++c) {
+    for (std::uint32_t c = 0; c < decomp->num_components; ++c) {
       if (!cluster_edges[c].empty() && !members[c].empty()) todo.push_back(c);
     }
     struct ClusterOut {
@@ -151,7 +182,7 @@ CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
                                  congest::RoundLedger& lg) {
       ClusterOut res;
 
-      // Cluster slice as a zero-copy view over the level subgraph.  Every
+      // Cluster slice as a zero-copy view over the level graph.  Every
       // branch below hands the cluster to a router, and routers are the
       // materialization boundary (they renumber densely), so the CSR is
       // still built exactly once per cluster via materialize_induced();
@@ -159,9 +190,10 @@ CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
       std::vector<VertexId> ambient_members;
       ambient_members.reserve(members[c].size());
       for (const VertexId lv : members[c]) {
-        ambient_members.push_back(sub.to_parent[lv]);
+        ambient_members.push_back(to_ambient(lv));
       }
-      const GraphView cluster_view(sub.graph, nullptr, VertexSet(members[c]));
+      const GraphView cluster_view(level_graph, nullptr,
+                                   VertexSet(members[c]));
       const LiveSubgraph cluster_sub = cluster_view.materialize_induced();
 
       // Membership and ambient->local ids live in the worker thread's
@@ -270,7 +302,8 @@ CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
   }
 
   out.triangles = std::move(found);
-  out.rounds = ledger.rounds() - before;
+  out.rounds =
+      ledger.rounds() - before + (level0 != nullptr ? level0->rounds : 0);
   return out;
 }
 

@@ -4,7 +4,9 @@
 /// Theorem 2: triangle enumeration in Õ(n^{1/3}) CONGEST rounds.
 ///
 /// Per recursion level:
-///   1. expander-decompose the surviving edge set (ε <= 1/6);
+///   1. expander-decompose the surviving edge set (ε <= 1/6) -- at level 0
+///      that is the input graph itself, so a caller that already holds its
+///      Theorem 1 decomposition (the serving partition) can hand it in;
 ///   2. preprocess a router per cluster (constant-depth GKS structure:
 ///      o(n^{1/3}) preprocessing, polylog queries -- the §3 observation
 ///      that lifts 2^{O(√log n)} to polylog);
@@ -21,6 +23,10 @@
 #include "graph/graph.hpp"
 #include "triangle/clique_dlp.hpp"
 #include "util/rng.hpp"
+
+namespace xd::expander {
+struct DecompositionResult;
+}  // namespace xd::expander
 
 namespace xd::triangle {
 
@@ -68,8 +74,27 @@ struct CongestEnumResult {
   std::uint64_t router_queries = 0;
 };
 
+/// Fork id of the level-0 decomposition stream: level 0 decomposes g with
+/// rng.fork(kLevel0Stream), which leaves the caller's stream untouched.
+inline constexpr std::uint64_t kLevel0Stream = 0xD5C0;
+
+/// The Theorem 1 parameters every recursion level decomposes with.
+expander::DecompositionParams decomposition_params(
+    const EnumParams& prm, expander::DecompositionBackend backend =
+                               expander::DecompositionBackend::kNibble);
+
 /// Runs the Theorem 2 algorithm on g, charging `ledger`.
-CongestEnumResult enumerate_congest(const Graph& g, const EnumParams& prm,
-                                    Rng& rng, congest::RoundLedger& ledger);
+///
+/// `level0`, when given, is the level-0 decomposition of g itself --
+/// expander_decomposition(g, decomposition_params(prm, level0->backend),
+/// rng.fork(kLevel0Stream), ...) -- computed and charged by the caller.  It
+/// is used as is: its rounds count toward the result's `rounds` but are
+/// not charged to `ledger` again, and levels >= 1 decompose with its
+/// backend.  With a nibble `level0` on a graph of >= 3 non-loop edges the
+/// result equals that of a call without `level0`.
+CongestEnumResult enumerate_congest(
+    const Graph& g, const EnumParams& prm, Rng& rng,
+    congest::RoundLedger& ledger,
+    const expander::DecompositionResult* level0 = nullptr);
 
 }  // namespace xd::triangle

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/metrics.hpp"
 #include "triangle/enumerate.hpp"
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
@@ -126,7 +128,7 @@ TEST(Artifact, PrepareMatchesGoldenPinsAtEveryThreadCount) {
     EXPECT_EQ(art.triangles.size(), 240u) << "threads=" << threads;
     EXPECT_EQ(triangle_hash(art), 2309664143457515940ULL)
         << "threads=" << threads;
-    EXPECT_EQ(art.enum_rounds, 3445u) << "threads=" << threads;
+    EXPECT_EQ(art.enum_rounds, 3535u) << "threads=" << threads;
     EXPECT_EQ(art.seed, 17u);
     if (!have_base) {
       base = art;
@@ -155,9 +157,39 @@ TEST(Artifact, ReloadedArtifactKeepsTheGoldenPins) {
   const auto back = load_artifact(path);
   EXPECT_EQ(back.triangles.size(), 240u);
   EXPECT_EQ(triangle_hash(back), 2309664143457515940ULL);
-  EXPECT_EQ(back.enum_rounds, 3445u);
+  EXPECT_EQ(back.enum_rounds, 3535u);
   EXPECT_EQ(back.component, art.component);
   EXPECT_EQ(back.build_rounds, art.build_rounds);
+}
+
+TEST(Artifact, PrepareSharesItsDecompositionWithTheorem2) {
+  // prepare decomposes once: its serving partition is Theorem 2's level 0,
+  // so the triangle plane and its rounds are a direct enumerate_congest
+  // call's, and the whole prepare charges exactly those rounds.
+  const Graph g = golden_graph();
+  for (const int threads : {0, 1, 2, 8}) {
+    const PrepareParams prm = golden_params(threads);
+    const auto art = prepare_artifact(g, prm);
+    Rng rng(prm.seed);
+    congest::RoundLedger ledger;
+    const auto direct =
+        triangle::enumerate_congest(g, prm.enumerate, rng, ledger);
+    EXPECT_EQ(art.triangles, direct.triangles) << "threads=" << threads;
+    EXPECT_EQ(art.enum_rounds, direct.rounds) << "threads=" << threads;
+    EXPECT_EQ(art.build_rounds, art.enum_rounds) << "threads=" << threads;
+  }
+}
+
+TEST(Artifact, SimpleParallelPrepareEnumeratesExactly) {
+  PrepareParams prm = golden_params(2);
+  prm.decomp_backend = expander::DecompositionBackend::kSimpleParallel;
+  for (const Graph& g : {golden_graph(), small_graph()}) {
+    const auto art = prepare_artifact(g, prm);
+    auto exact = triangles_exact(g);
+    std::sort(exact.begin(), exact.end());
+    EXPECT_EQ(art.triangles, exact);
+    EXPECT_EQ(art.build_rounds, art.enum_rounds);
+  }
 }
 
 // ------------------------------------------------------------- round trip

@@ -115,9 +115,10 @@ TEST(Golden, TriangleEnumerationMatchesSeedKernel) {
   }
   EXPECT_EQ(h, 2309664143457515940ULL);
   EXPECT_EQ(r.triangles.size(), 240u);
-  // Rounds re-pinned when the driver moved to epoch-batched scheduling
-  // (per-item seed-split RNGs); the triangle set itself is unchanged.
-  EXPECT_EQ(r.rounds, 3445u);
+  // Rounds follow the RNG streams (epoch-batched per-item forks, the
+  // level-0 decomposition fork) and are re-pinned deliberately when those
+  // change; the triangle set itself never moves.
+  EXPECT_EQ(r.rounds, 3535u);
 }
 
 TEST(Golden, SchedulerRoundAccountingPins) {
@@ -232,7 +233,7 @@ TEST(Golden, SchedulerTriangleEnumerationPins) {
     EXPECT_EQ(r.triangles.size(), 240u) << "threads=" << threads;
     // This dense G(n,p) is an expander: each level keeps one cluster, so
     // the per-epoch max equals the sequential sum here.
-    EXPECT_EQ(r.rounds, 3445u) << "threads=" << threads;
+    EXPECT_EQ(r.rounds, 3535u) << "threads=" << threads;
   }
 }
 

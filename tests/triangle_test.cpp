@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "triangle/baseline_local.hpp"
@@ -318,6 +319,93 @@ TEST(CongestEnum, ReportsDiagnostics) {
   EXPECT_GE(res.levels, 1);
   EXPECT_GE(res.clusters_processed, 1u);
   EXPECT_EQ(res.rounds, ledger.rounds());
+}
+
+/// Two K_5s sharing vertex 4, then triangle 8-9-10 and 4-cycle 10..13;
+/// self-loops on a clique, a triangle and a cycle vertex, loop-only vertex
+/// 14 and isolated vertices 15, 16.  Level 0 decomposes this g as is.
+Graph loopy_graph() {
+  GraphBuilder b(17);
+  for (VertexId i = 0; i < 5; ++i) {
+    for (VertexId j = i + 1; j < 5; ++j) {
+      b.add_edge(i, j);
+      b.add_edge(4 + i, 4 + j);
+    }
+  }
+  b.add_edge(8, 9).add_edge(8, 10).add_edge(9, 10);
+  b.add_edge(10, 11).add_edge(11, 12).add_edge(12, 13).add_edge(13, 10);
+  b.add_loops(0, 2).add_loops(9, 1).add_loops(12, 1).add_loops(14, 3);
+  return b.build();
+}
+
+TEST(CongestEnum, LoopsAndIsolatedVerticesAtEveryBackend) {
+  const Graph g = loopy_graph();
+  for (const RouterBackend backend :
+       {RouterBackend::kCharged, RouterBackend::kTree,
+        RouterBackend::kHierarchicalSim}) {
+    EnumParams prm;
+    prm.backend = backend;
+    prm.phi0_override = 0.1;
+    Rng rng(3);
+    congest::RoundLedger ledger;
+    const auto direct = enumerate_congest(g, prm, rng, ledger);
+    EXPECT_EQ(direct.triangles, ground_truth(g))
+        << "backend=" << static_cast<int>(backend);
+
+    // The same run with the level-0 decomposition supplied by the caller.
+    Rng rng2(3);
+    Rng drng = rng2.fork(kLevel0Stream);
+    congest::RoundLedger ledger2;
+    const auto level0 = expander::expander_decomposition(
+        g, decomposition_params(prm), drng, ledger2);
+    const auto supplied = enumerate_congest(g, prm, rng2, ledger2, &level0);
+    EXPECT_EQ(supplied.triangles, direct.triangles)
+        << "backend=" << static_cast<int>(backend);
+    EXPECT_EQ(supplied.rounds, direct.rounds)
+        << "backend=" << static_cast<int>(backend);
+    EXPECT_EQ(ledger2.rounds(), direct.rounds)
+        << "backend=" << static_cast<int>(backend);
+  }
+}
+
+TEST(CongestEnum, SimpleParallelLevel0StaysExactThroughTheRecursion) {
+  // A supplied simple-parallel level 0 switches levels >= 1 to the same
+  // backend; the triangle set stays exact through the E* recursion.
+  const Graph g = gen::ring_of_cliques(6, 6);
+  EnumParams prm;
+  prm.phi0_override = 0.1;
+  prm.scheduler_threads = 2;
+  Rng rng(5);
+  Rng drng = rng.fork(kLevel0Stream);
+  congest::RoundLedger ledger;
+  const auto level0 = expander::expander_decomposition(
+      g,
+      decomposition_params(prm,
+                           expander::DecompositionBackend::kSimpleParallel),
+      drng, ledger);
+  const auto res = enumerate_congest(g, prm, rng, ledger, &level0);
+  EXPECT_EQ(res.triangles, ground_truth(g));
+  EXPECT_GE(res.levels, 2);
+  EXPECT_EQ(res.rounds, ledger.rounds());
+}
+
+TEST(CongestEnum, RejectsLevel0OfAnotherGraph) {
+  const Graph g = loopy_graph();
+  EnumParams prm;
+  Rng drng(9);
+  congest::RoundLedger ledger;
+  const auto level0 = expander::expander_decomposition(
+      g, decomposition_params(prm), drng, ledger);
+
+  auto short_component = level0;
+  short_component.component.pop_back();
+  auto long_removed = level0;
+  long_removed.removed_edge.push_back(0);
+  for (const auto* bad : {&short_component, &long_removed}) {
+    Rng rng(9);
+    EXPECT_THROW((void)enumerate_congest(g, prm, rng, ledger, bad),
+                 CheckError);
+  }
 }
 
 }  // namespace
