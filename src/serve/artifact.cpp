@@ -25,7 +25,7 @@ static_assert(std::endian::native == std::endian::little,
 
 constexpr std::size_t kHeaderBytes = 32;
 constexpr std::size_t kSectionEntryBytes = 24;
-constexpr std::size_t kSectionCount = 6;
+constexpr std::size_t kSectionCount = 4;
 /// Offset of the header's whole-file CRC-32C slot (a u64 whose high 32
 /// bits are zero).
 constexpr std::size_t kCrcAt = 24;
@@ -39,13 +39,11 @@ constexpr std::uint32_t section_tag(const char (&t)[5]) {
 
 constexpr std::uint32_t kTagGraph = section_tag("GRPH");
 constexpr std::uint32_t kTagDecomp = section_tag("DCMP");
-constexpr std::uint32_t kTagStats = section_tag("STAT");
-constexpr std::uint32_t kTagHier = section_tag("HIER");
 constexpr std::uint32_t kTagTris = section_tag("TRIS");
 constexpr std::uint32_t kTagMeta = section_tag("META");
 
-constexpr std::uint32_t kSectionOrder[kSectionCount] = {
-    kTagGraph, kTagDecomp, kTagStats, kTagHier, kTagTris, kTagMeta};
+constexpr std::uint32_t kSectionOrder[kSectionCount] = {kTagGraph, kTagDecomp,
+                                                        kTagTris, kTagMeta};
 
 /// Appending little-endian writer over one growing byte vector.
 class ByteSink {
@@ -97,50 +95,91 @@ class ByteSource {
   const char* what_;
 };
 
-/// Deterministic per-component BFS relay forests over the live (non-removed)
-/// intra-component edges, neighbors visited in slot order.  Components that
-/// come apart under practical-mode guards get one tree per piece (extra
-/// roots keep parent[v] == v).
-void build_relay_forest(const Graph& g, const std::vector<std::uint32_t>& comp,
-                        const std::vector<char>& removed,
-                        std::vector<VertexId>& parent,
-                        std::vector<std::uint32_t>& depth,
-                        std::vector<ComponentInfo>& infos) {
-  const std::size_t n = g.num_vertices();
-  parent.resize(n);
-  depth.assign(n, 0);
-  for (VertexId v = 0; v < n; ++v) parent[v] = v;
-  std::vector<char> seen(n, 0);
-  std::vector<VertexId> queue;
-  for (VertexId v = 0; v < n; ++v) {
-    if (seen[v]) continue;
-    const std::uint32_t c = comp[v];
-    // First unseen member in id order starts a tree (the component's min-id
-    // vertex -- its root -- starts the first one).
-    queue.clear();
-    queue.push_back(v);
-    seen[v] = 1;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const VertexId u = queue[head];
-      infos[c].height = std::max(infos[c].height, depth[u]);
-      const auto nbrs = g.neighbors(u);
-      const auto eids = g.incident_edges(u);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId w = nbrs[i];
-        if (w == u || seen[w] || removed[eids[i]] || comp[w] != c) continue;
-        seen[w] = 1;
-        parent[w] = u;
-        depth[w] = depth[u] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void PreparedArtifact::build_index() {
   const std::size_t n = graph.num_vertices();
+
+  // --- Per-component conductance/balance stats. ---
+  components.assign(num_components, ComponentInfo{});
+  const std::uint64_t total_volume = graph.volume();
+  for (VertexId v = 0; v < n; ++v) {
+    auto& info = components[component[v]];
+    if (info.size == 0) info.root = v;  // ascending scan: the min-id member
+    ++info.size;
+    info.volume += graph.degree(v);
+  }
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    if (graph.is_loop(e)) continue;
+    const auto [u, v] = graph.edge(e);
+    const std::uint32_t cu = component[u];
+    const std::uint32_t cv = component[v];
+    if (cu != cv) {
+      ++components[cu].cut;
+      ++components[cv].cut;
+    } else if (!removed_edge[e]) {
+      ++components[cu].internal_edges;
+    }
+  }
+  for (auto& info : components) {
+    const std::uint64_t other = total_volume - info.volume;
+    const std::uint64_t small = std::min(info.volume, other);
+    info.conductance = small == 0
+                           ? std::numeric_limits<double>::infinity()
+                           : static_cast<double>(info.cut) / small;
+    info.balance = total_volume == 0
+                       ? 0.0
+                       : static_cast<double>(small) / total_volume;
+  }
+
+  // --- GKS hierarchy summary: relay forests + beta / portal counts. ---
+  // Deterministic per-component BFS relay forests over the live
+  // (non-removed) intra-component edges, neighbors visited in slot order.
+  // Components that come apart under practical-mode guards get one tree per
+  // piece (extra roots keep relay_parent[v] == v).
+  relay_parent.resize(n);
+  relay_depth.assign(n, 0);
+  for (VertexId v = 0; v < n; ++v) relay_parent[v] = v;
+  std::vector<char> seen(n, 0);
+  std::vector<VertexId> queue;
+  for (VertexId v = 0; v < n; ++v) {
+    if (seen[v]) continue;
+    const std::uint32_t c = component[v];
+    // First unseen member in id order starts a tree (the component's min-id
+    // vertex -- its root -- starts the first one).
+    queue.assign(1, v);
+    seen[v] = 1;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const VertexId u = queue[head];
+      components[c].height = std::max(components[c].height, relay_depth[u]);
+      const auto nbrs = graph.neighbors(u);
+      const auto eids = graph.incident_edges(u);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const VertexId w = nbrs[i];
+        if (w == u || seen[w] || removed_edge[eids[i]] || component[w] != c) {
+          continue;
+        }
+        seen[w] = 1;
+        relay_parent[w] = u;
+        relay_depth[w] = relay_depth[u] + 1;
+        queue.push_back(w);
+      }
+    }
+  }
+  portals.assign(std::size_t{num_components} * router_depth, 1);
+  for (std::uint32_t c = 0; c < num_components; ++c) {
+    auto& info = components[c];
+    const double m_c = static_cast<double>(info.internal_edges);
+    info.beta = m_c > 0 ? std::pow(m_c, 1.0 / router_depth) : 0.0;
+    for (std::uint32_t l = 0; l < router_depth; ++l) {
+      const double denom = info.beta > 0 ? std::pow(info.beta, l) : 1.0;
+      const double count = m_c > 0 ? std::ceil(m_c / denom) : 1.0;
+      portals[std::size_t{c} * router_depth + l] =
+          static_cast<std::uint64_t>(std::max(1.0, count));
+    }
+  }
+
+  // --- Triangle incidence CSR and per-component counts. ---
   tri_offsets.assign(n + 1, 0);
   for (const auto& t : triangles) {
     for (const VertexId v : t) ++tri_offsets[v + 1];
@@ -152,9 +191,7 @@ void PreparedArtifact::build_index() {
     for (const VertexId v : triangles[i]) tri_ids[cursor[v]++] = i;
   }
   comp_triangles.assign(num_components, 0);
-  if (!component.empty()) {
-    for (const auto& t : triangles) ++comp_triangles[component[t[0]]];
-  }
+  for (const auto& t : triangles) ++comp_triangles[component[t[0]]];
 }
 
 bool PreparedArtifact::has_triangle(VertexId a, VertexId b, VertexId c) const {
@@ -193,9 +230,9 @@ bool PreparedArtifact::relay_path(VertexId u, VertexId v,
 }
 
 PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm) {
+  XD_CHECK(prm.enumerate.router_depth <= int{kMaxRouterDepth});
   PreparedArtifact art;
   art.graph = g;  // CSR copy: the artifact owns its ambient graph
-  const std::size_t n = g.num_vertices();
   congest::RoundLedger ledger;
 
   // --- Theorem 1 decomposition: the serving partition, and Theorem 2's
@@ -209,56 +246,6 @@ PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm) {
   art.num_components = static_cast<std::uint32_t>(decomp.num_components);
   art.removed_edge = decomp.removed_edge;
   for (int r = 0; r < 3; ++r) art.removed_by[r] = decomp.removed_by[r];
-
-  // --- Per-component conductance/balance stats. ---
-  art.components.assign(art.num_components, ComponentInfo{});
-  const std::uint64_t total_volume = g.volume();
-  for (VertexId v = 0; v < n; ++v) {
-    auto& info = art.components[art.component[v]];
-    if (info.size == 0 || v < info.root) info.root = v;
-    ++info.size;
-    info.volume += g.degree(v);
-  }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (g.is_loop(e)) continue;
-    const auto [u, v] = g.edge(e);
-    const std::uint32_t cu = art.component[u];
-    const std::uint32_t cv = art.component[v];
-    if (cu != cv) {
-      ++art.components[cu].cut;
-      ++art.components[cv].cut;
-    } else if (!art.removed_edge[e]) {
-      ++art.components[cu].internal_edges;
-    }
-  }
-  for (auto& info : art.components) {
-    const std::uint64_t other = total_volume - info.volume;
-    const std::uint64_t small = std::min(info.volume, other);
-    info.conductance = small == 0
-                           ? std::numeric_limits<double>::infinity()
-                           : static_cast<double>(info.cut) / small;
-    info.balance = total_volume == 0
-                       ? 0.0
-                       : static_cast<double>(small) / total_volume;
-  }
-
-  // --- GKS hierarchy summary: relay forests + beta / portal counts. ---
-  art.router_depth =
-      static_cast<std::uint32_t>(std::max(1, prm.enumerate.router_depth));
-  build_relay_forest(g, art.component, art.removed_edge, art.relay_parent,
-                     art.relay_depth, art.components);
-  art.portals.assign(std::size_t{art.num_components} * art.router_depth, 1);
-  for (std::uint32_t c = 0; c < art.num_components; ++c) {
-    auto& info = art.components[c];
-    const double m_c = static_cast<double>(info.internal_edges);
-    info.beta = m_c > 0 ? std::pow(m_c, 1.0 / art.router_depth) : 0.0;
-    for (std::uint32_t l = 0; l < art.router_depth; ++l) {
-      const double denom = info.beta > 0 ? std::pow(info.beta, l) : 1.0;
-      const double count = m_c > 0 ? std::ceil(m_c / denom) : 1.0;
-      art.portals[std::size_t{c} * art.router_depth + l] =
-          static_cast<std::uint64_t>(std::max(1.0, count));
-    }
-  }
 
   // --- Theorem 2 triangle plane over the decomposition above.  Fresh
   // Rng(seed): exactly the stream a direct enumerate_congest call would
@@ -278,6 +265,8 @@ PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm) {
   art.backend = static_cast<int>(prm.enumerate.backend);
   art.decomp_backend = static_cast<int>(prm.decomp_backend);
   art.seed = prm.seed;
+  art.router_depth =
+      static_cast<std::uint32_t>(std::max(1, prm.enumerate.router_depth));
   art.build_rounds = ledger.rounds();
   art.build_messages = ledger.messages();
 
@@ -341,33 +330,6 @@ void save_artifact(const PreparedArtifact& art, const std::string& path) {
   }
   end_section();
 
-  // STAT.
-  begin_section();
-  for (const auto& info : art.components) {
-    sink.put<std::uint32_t>(info.root);
-    sink.put<std::uint32_t>(info.size);
-    sink.put<std::uint64_t>(info.volume);
-    sink.put<std::uint64_t>(info.cut);
-    sink.put<std::uint64_t>(info.internal_edges);
-    sink.put<double>(info.conductance);
-    sink.put<double>(info.balance);
-  }
-  end_section();
-
-  // HIER.
-  begin_section();
-  sink.put<std::uint32_t>(art.router_depth);
-  sink.put<std::uint32_t>(0);  // reserved
-  for (VertexId v = 0; v < n; ++v) sink.put<std::uint32_t>(art.relay_parent[v]);
-  for (VertexId v = 0; v < n; ++v) sink.put<std::uint32_t>(art.relay_depth[v]);
-  for (const auto& info : art.components) {
-    sink.put<std::uint32_t>(info.height);
-    sink.put<std::uint32_t>(0);  // reserved
-    sink.put<double>(info.beta);
-  }
-  for (const std::uint64_t p : art.portals) sink.put<std::uint64_t>(p);
-  end_section();
-
   // TRIS.
   begin_section();
   sink.put<std::uint64_t>(art.triangles.size());
@@ -390,6 +352,8 @@ void save_artifact(const PreparedArtifact& art, const std::string& path) {
   sink.put<std::uint32_t>(art.enum_levels);
   sink.put<std::uint32_t>(static_cast<std::uint32_t>(art.decomp_backend));
   sink.put<std::uint64_t>(art.clusters_processed);
+  sink.put<std::uint32_t>(art.router_depth);
+  sink.put<std::uint32_t>(0);  // reserved
   end_section();
 
   sink.patch_u64(file_size_at, sink.size());
@@ -470,7 +434,7 @@ PreparedArtifact load_artifact(const std::string& path) {
     XD_CHECK_MSG(offset == expect_offset,
                  path << ": section " << s << " offset " << offset
                       << " != expected " << expect_offset);
-    XD_CHECK_MSG(offset + size <= file.size(),
+    XD_CHECK_MSG(size <= file.size() - offset,
                  path << ": section " << s << " overruns the file (offset "
                       << offset << " + size " << size << " > " << file.size()
                       << ")");
@@ -489,7 +453,7 @@ PreparedArtifact load_artifact(const std::string& path) {
     const auto n64 = src.get<std::uint64_t>();
     const auto m = src.get<std::uint64_t>();
     XD_CHECK_MSG(n64 <= 0xffffffffu, path << ": n=" << n64 << " exceeds u32");
-    XD_CHECK_MSG(src.remaining() == 8 * m,
+    XD_CHECK_MSG(src.remaining() % 8 == 0 && src.remaining() / 8 == m,
                  path << ": GRPH payload holds " << src.remaining() / 8
                       << " edges, header claims " << m);
     const auto n = static_cast<std::size_t>(n64);
@@ -535,85 +499,11 @@ PreparedArtifact load_artifact(const std::string& path) {
     }
   }
 
-  // STAT.
-  {
-    ByteSource src(sections[2].data, sections[2].size, "STAT");
-    XD_CHECK_MSG(sections[2].size == std::size_t{48} * art.num_components,
-                 path << ": STAT size " << sections[2].size << " != 48 * "
-                      << art.num_components);
-    art.components.resize(art.num_components);
-    std::uint64_t total_size = 0;
-    for (auto& info : art.components) {
-      info.root = src.get<std::uint32_t>();
-      info.size = src.get<std::uint32_t>();
-      info.volume = src.get<std::uint64_t>();
-      info.cut = src.get<std::uint64_t>();
-      info.internal_edges = src.get<std::uint64_t>();
-      info.conductance = src.get<double>();
-      info.balance = src.get<double>();
-      XD_CHECK_MSG(info.root < n || (n == 0 && info.root == 0),
-                   path << ": STAT root " << info.root << " out of range");
-      total_size += info.size;
-    }
-    XD_CHECK_MSG(total_size == n, path << ": STAT sizes sum to " << total_size
-                                       << ", not n=" << n);
-  }
-
-  // HIER.
-  {
-    ByteSource src(sections[3].data, sections[3].size, "HIER");
-    XD_CHECK_MSG(sections[3].size >= 8, path << ": HIER header truncated");
-    art.router_depth = src.get<std::uint32_t>();
-    src.get<std::uint32_t>();  // reserved
-    XD_CHECK_MSG(art.router_depth >= 1,
-                 path << ": HIER depth " << art.router_depth << " < 1");
-    const std::size_t want =
-        8 + 8 * n + std::size_t{16} * art.num_components +
-        std::size_t{8} * art.num_components * art.router_depth;
-    XD_CHECK_MSG(sections[3].size == want,
-                 path << ": HIER size " << sections[3].size << " != expected "
-                      << want);
-    art.relay_parent.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      art.relay_parent[v] = src.get<std::uint32_t>();
-      XD_CHECK_MSG(art.relay_parent[v] < n,
-                   path << ": relay parent of " << v << " out of range");
-      XD_CHECK_MSG(art.component[art.relay_parent[v]] == art.component[v],
-                   path << ": relay parent of " << v
-                        << " crosses components");
-    }
-    art.relay_depth.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      art.relay_depth[v] = src.get<std::uint32_t>();
-    }
-    // Depth consistency makes relay_path termination a file invariant:
-    // roots sit at depth 0 and every child is one deeper than its parent.
-    for (std::size_t v = 0; v < n; ++v) {
-      const VertexId p = art.relay_parent[v];
-      if (p == v) {
-        XD_CHECK_MSG(art.relay_depth[v] == 0,
-                     path << ": relay root " << v << " at depth "
-                          << art.relay_depth[v]);
-      } else {
-        XD_CHECK_MSG(art.relay_depth[v] == art.relay_depth[p] + 1,
-                     path << ": relay depth of " << v
-                          << " != parent depth + 1");
-      }
-    }
-    for (auto& info : art.components) {
-      info.height = src.get<std::uint32_t>();
-      src.get<std::uint32_t>();  // reserved
-      info.beta = src.get<double>();
-    }
-    art.portals.resize(std::size_t{art.num_components} * art.router_depth);
-    for (auto& p : art.portals) p = src.get<std::uint64_t>();
-  }
-
   // TRIS.
   {
-    ByteSource src(sections[4].data, sections[4].size, "TRIS");
+    ByteSource src(sections[2].data, sections[2].size, "TRIS");
     const auto count = src.get<std::uint64_t>();
-    XD_CHECK_MSG(src.remaining() == 12 * count,
+    XD_CHECK_MSG(src.remaining() % 12 == 0 && src.remaining() / 12 == count,
                  path << ": TRIS payload holds " << src.remaining() / 12
                       << " triples, header claims " << count);
     art.triangles.resize(static_cast<std::size_t>(count));
@@ -624,14 +514,18 @@ PreparedArtifact load_artifact(const std::string& path) {
                    path << ": TRIS triple " << i << " is not sorted in-range");
       XD_CHECK_MSG(i == 0 || art.triangles[i - 1] < t,
                    path << ": TRIS not strictly ascending at " << i);
+      XD_CHECK_MSG(art.graph.has_edge(t[0], t[1]) &&
+                       art.graph.has_edge(t[1], t[2]) &&
+                       art.graph.has_edge(t[0], t[2]),
+                   path << ": TRIS triple " << i << " is not a triangle");
     }
   }
 
   // META.
   {
-    ByteSource src(sections[5].data, sections[5].size, "META");
-    XD_CHECK_MSG(sections[5].size == 80,
-                 path << ": META size " << sections[5].size << " != 80");
+    ByteSource src(sections[3].data, sections[3].size, "META");
+    XD_CHECK_MSG(sections[3].size == 88,
+                 path << ": META size " << sections[3].size << " != 88");
     art.epsilon = src.get<double>();
     art.phi0 = src.get<double>();
     art.k = src.get<std::int32_t>();
@@ -642,13 +536,17 @@ PreparedArtifact load_artifact(const std::string& path) {
     art.enum_rounds = src.get<std::uint64_t>();
     art.router_queries = src.get<std::uint64_t>();
     art.enum_levels = src.get<std::uint32_t>();
-    // The once-reserved slot now names the decomposition backend; legacy
-    // zero reads as nibble, and anything unknown is a typed load error.
+    // An unknown decomposition backend is a typed load error.
     art.decomp_backend = static_cast<int>(src.get<std::uint32_t>());
     XD_CHECK_MSG(art.decomp_backend <= 1,
                  path << ": META decomposition backend " << art.decomp_backend
                       << " unknown");
     art.clusters_processed = src.get<std::uint64_t>();
+    art.router_depth = src.get<std::uint32_t>();
+    src.get<std::uint32_t>();  // reserved
+    XD_CHECK_MSG(art.router_depth >= 1 && art.router_depth <= kMaxRouterDepth,
+                 path << ": META router depth " << art.router_depth
+                      << " outside [1, " << kMaxRouterDepth << "]");
   }
 
   art.build_index();

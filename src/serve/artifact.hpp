@@ -15,19 +15,19 @@
 /// format (mmap'd loader in the graph/io style; doubles as the fixture
 /// format for the --large bench tier).
 ///
-/// Captured sections:
+/// The file stores only what cannot be derived:
 ///   * GRPH -- the ambient graph's edge list, replayed in EdgeId order so
 ///     the reloaded CSR is bit-identical to the prepared one;
 ///   * DCMP -- the Theorem 1 decomposition: per-vertex component labels,
 ///     the removed-edge overlay, Remove-1/2/3 counts;
-///   * STAT -- per-component conductance/balance observations (component
-///     boundary read as a cut of the ambient graph);
-///   * HIER -- the GKS hierarchy summary: per-vertex relay forest
-///     (parent + depth, the Lemma 3.4 delivery trees), per-component
-///     β = m^{1/k} and per-level portal counts;
 ///   * TRIS -- the flat triangle tuple plane (sorted, deduplicated);
-///   * META -- build parameters, seeds, and the charged round/message
-///     totals, so artifact-served answers replay the fresh-build charges.
+///   * META -- build parameters, seeds, the GKS depth, and the charged
+///     round/message totals, so artifact-served answers replay the
+///     fresh-build charges.
+/// Everything else -- per-component conductance/balance stats, the relay
+/// forests (the Lemma 3.4 delivery trees), β = m^{1/k} and portal counts,
+/// the triangle incidence index -- is rebuilt by build_index() from those
+/// four sections, after prepare and after every load alike.
 
 #include <cstdint>
 #include <string>
@@ -41,7 +41,10 @@ namespace xd::serve {
 
 /// 'XDA1' little-endian.
 inline constexpr std::uint32_t kArtifactMagic = 0x31414458u;
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
+/// Largest GKS depth an artifact accepts (the paper's k is a small
+/// constant); bounds the derived portal table a META field can demand.
+inline constexpr std::uint32_t kMaxRouterDepth = 64;
 
 /// Preprocessing knobs.  The enumeration parameters drive both the
 /// decomposition (epsilon, k, phi0) and the triangle plane; `seed` is the
@@ -85,15 +88,6 @@ struct PreparedArtifact {
   std::vector<char> removed_edge;        ///< per ambient edge
   std::uint64_t removed_by[3] = {0, 0, 0};
 
-  // ---- STAT + HIER (per component) ----
-  std::vector<ComponentInfo> components;
-  std::uint32_t router_depth = 2;        ///< GKS k of the hierarchy summary
-  std::vector<VertexId> relay_parent;    ///< per vertex; root -> itself
-  std::vector<std::uint32_t> relay_depth;  ///< hops to the component root
-  /// Per-component per-level portal counts, row-major
-  /// [component * router_depth + level].
-  std::vector<std::uint64_t> portals;
-
   // ---- TRIS ----
   std::vector<triangle::Triangle> triangles;  ///< sorted, deduplicated
 
@@ -102,9 +96,7 @@ struct PreparedArtifact {
   int k = 0;
   double phi0 = 0.0;
   int backend = 0;  ///< triangle::RouterBackend of the build
-  /// expander::DecompositionBackend of the build (the legacy reserved
-  /// META slot: old files read back as 0 == nibble, and nibble-built
-  /// files stay byte-identical to pre-selector artifacts).
+  /// expander::DecompositionBackend of the build (0 == nibble).
   int decomp_backend = 0;
   std::uint64_t seed = 0;
   std::uint64_t build_rounds = 0;    ///< total charged rounds of the prepare
@@ -113,8 +105,16 @@ struct PreparedArtifact {
   std::uint64_t router_queries = 0;
   std::uint32_t enum_levels = 0;
   std::uint64_t clusters_processed = 0;
+  /// GKS k of the hierarchy summary, in [1, kMaxRouterDepth].
+  std::uint32_t router_depth = 2;
 
-  // ---- derived in memory (not serialized) ----
+  // ---- derived by build_index() (not serialized) ----
+  std::vector<ComponentInfo> components;
+  std::vector<VertexId> relay_parent;      ///< per vertex; root -> itself
+  std::vector<std::uint32_t> relay_depth;  ///< hops to the component root
+  /// Per-component per-level portal counts, row-major
+  /// [component * router_depth + level].
+  std::vector<std::uint64_t> portals;
   /// Triangle incidence CSR: triangles touching v are
   /// tri_ids[tri_offsets[v] .. tri_offsets[v+1]), ascending triangle ids.
   std::vector<std::uint32_t> tri_offsets;
@@ -126,7 +126,8 @@ struct PreparedArtifact {
   /// of budget (docs/robustness.md).
   std::vector<std::uint64_t> comp_triangles;
 
-  /// (Re)builds the derived incidence index from `triangles`.
+  /// (Re)builds every derived field above from the stored ones (graph,
+  /// decomposition, router_depth, triangles).
   void build_index();
 
   // ------------------------------------------------------------- queries
@@ -169,9 +170,10 @@ PreparedArtifact prepare_artifact(const Graph& g, const PrepareParams& prm);
 /// to save(x).
 void save_artifact(const PreparedArtifact& art, const std::string& path);
 
-/// Loads (mmap'd, with streamed fallback) and validates an XDA1 file.
-/// Throws CheckError on truncation, bad magic/version, section-table
-/// overruns, or inconsistent section payloads.
+/// Loads (mmap'd, with streamed fallback) and validates an XDA1 file, then
+/// derives the rest via build_index().  Throws CheckError on truncation,
+/// bad magic/version, section-table overruns, or inconsistent section
+/// payloads (including listed triples that are not triangles of GRPH).
 PreparedArtifact load_artifact(const std::string& path);
 
 }  // namespace xd::serve

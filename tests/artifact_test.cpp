@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
 #include "triangle/enumerate.hpp"
 #include "util/check.hpp"
@@ -254,10 +256,8 @@ TEST(Artifact, RoundTripPreservesEveryField) {
 }
 
 TEST(Artifact, DecompositionBackendRoundTripsThroughMeta) {
-  // The selector lands in the META section's once-reserved slot: a
-  // simple-parallel build reloads as simple-parallel, a default build
-  // reloads as nibble (and stays byte-compatible with legacy files whose
-  // slot was always zero).
+  // The selector lands in the META section: a simple-parallel build
+  // reloads as simple-parallel, a default build reloads as nibble.
   PrepareParams prm = golden_params(0);
   prm.decomp_backend = expander::DecompositionBackend::kSimpleParallel;
   const auto art = prepare_artifact(small_graph(), prm);
@@ -275,6 +275,62 @@ TEST(Artifact, DecompositionBackendRoundTripsThroughMeta) {
   EXPECT_STREQ(expander::to_string(static_cast<expander::DecompositionBackend>(
                    def.decomp_backend)),
                "nibble");
+}
+
+TEST(Artifact, DerivedSummariesMatchIndependentOracles) {
+  // Stats, relay forests and portal counts are rebuilt on load; check the
+  // reloaded values against the graph/metrics oracles, not against prepare.
+  // The fixtures above decompose into one component each; the clique chain
+  // splits into four, so cuts and balances are nonzero too.
+  for (const Graph& g :
+       {small_graph(), golden_graph(), gen::clique_chain(4, 10)}) {
+    const std::string path = tmp_path("oracle.xda");
+    save_artifact(prepare_artifact(g, golden_params(0)), path);
+    const auto art = load_artifact(path);
+    const std::uint32_t depth = art.router_depth;
+    ASSERT_EQ(art.components.size(), art.num_components);
+    ASSERT_EQ(art.portals.size(), std::size_t{art.num_components} * depth);
+    for (std::uint32_t c = 0; c < art.num_components; ++c) {
+      std::vector<VertexId> members;
+      for (VertexId v = 0; v < art.graph.num_vertices(); ++v) {
+        if (art.component[v] == c) members.push_back(v);
+      }
+      const VertexSet s(members);
+      const ComponentInfo& info = art.components[c];
+      EXPECT_EQ(info.size, members.size()) << "c=" << c;
+      if (!members.empty()) {
+        EXPECT_EQ(info.root, members.front()) << "c=" << c;
+      }
+      EXPECT_EQ(info.volume, volume(art.graph, s)) << "c=" << c;
+      EXPECT_EQ(info.cut, cut_size(art.graph, s)) << "c=" << c;
+      EXPECT_EQ(info.conductance, conductance(art.graph, s)) << "c=" << c;
+      EXPECT_EQ(info.balance, balance(art.graph, s)) << "c=" << c;
+
+      // Live intra-component edges: the component's view under the
+      // removed overlay.
+      const GraphView view(art.graph, &art.removed_edge, s);
+      const std::uint64_t m_c = view.num_nonloop_edges();
+      EXPECT_EQ(info.internal_edges, m_c) << "c=" << c;
+      std::uint32_t height = 0;
+      for (const VertexId v : members) {
+        VertexId root = v;
+        while (art.relay_parent[root] != root) root = art.relay_parent[root];
+        EXPECT_EQ(art.relay_depth[v], bfs_distances(view, root)[v])
+            << "v=" << v;
+        height = std::max(height, art.relay_depth[v]);
+      }
+      EXPECT_EQ(info.height, height) << "c=" << c;
+
+      const double beta = std::pow(static_cast<double>(m_c), 1.0 / depth);
+      for (std::uint32_t l = 0; l < depth; ++l) {
+        const double fill =
+            m_c == 0 ? 1.0 : std::ceil(m_c / std::pow(beta, l));
+        EXPECT_EQ(art.portals[std::size_t{c} * depth + l],
+                  static_cast<std::uint64_t>(std::max(1.0, fill)))
+            << "c=" << c << " l=" << l;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ query layer
@@ -380,6 +436,9 @@ TEST_F(ArtifactReject, BadVersion) {
   auto b = bytes_;
   patch<std::uint32_t>(b, 4, kArtifactVersion + 1);
   expect_reject(b, "version");
+  // Version 1 stored STAT and HIER sections; it is no longer read.
+  patch<std::uint32_t>(b, 4, 1);
+  expect_reject(b, "version 1");
 }
 
 TEST_F(ArtifactReject, BadSectionCount) {
@@ -412,9 +471,26 @@ TEST_F(ArtifactReject, NonContiguousSections) {
 
 TEST_F(ArtifactReject, SectionOverrunsFile) {
   auto b = bytes_;
-  patch<std::uint64_t>(b, kHeader + 5 * kEntry + 16, section_size(b, 5) + 8);
+  patch<std::uint64_t>(b, kHeader + 3 * kEntry + 16, section_size(b, 3) + 8);
   reseal(b);
   expect_reject(b, "overrun");
+}
+
+TEST_F(ArtifactReject, SectionSizeWraps) {
+  // A TRIS size of 2^64 - tris + w wraps offset + size around to a small
+  // w, with META claiming [w, end): the table must not hand TRIS a span
+  // past the file.  As 2^64 == 4 (mod 12), w == tris + 4 (mod 12) makes
+  // the huge span hold a whole number of triples; the count claims them.
+  auto b = bytes_;
+  const std::uint64_t tris = section_offset(b, 2);
+  const std::uint64_t w = (tris + 4) % 12;
+  const std::uint64_t tris_size = w - tris;
+  patch<std::uint64_t>(b, kHeader + 2 * kEntry + 16, tris_size);
+  patch<std::uint64_t>(b, kHeader + 3 * kEntry + 8, w);
+  patch<std::uint64_t>(b, kHeader + 3 * kEntry + 16, b.size() - w);
+  patch<std::uint64_t>(b, tris, (tris_size - 8) / 12);
+  reseal(b);
+  expect_reject(b, "wrapped section size");
 }
 
 TEST_F(ArtifactReject, TrailingBytes) {
@@ -439,6 +515,15 @@ TEST_F(ArtifactReject, GraphEdgeCountMismatch) {
   expect_reject(b, "edge count");
 }
 
+TEST_F(ArtifactReject, GraphEdgeCountOverflows) {
+  // 8 * (m + 2^61) wraps to 8 * m: the count must not pass by overflow.
+  auto b = bytes_;
+  patch<std::uint64_t>(b, section_offset(b, 0) + 8,
+                       m_ + (std::uint64_t{1} << 61));
+  reseal(b);
+  expect_reject(b, "wrapped edge count");
+}
+
 TEST_F(ArtifactReject, ComponentLabelOutOfRange) {
   auto b = bytes_;
   patch<std::uint32_t>(b, section_offset(b, 1) + 32, 0xffffffffu);
@@ -453,53 +538,63 @@ TEST_F(ArtifactReject, RemovedFlagNotBoolean) {
   expect_reject(b, "removed flag");
 }
 
-TEST_F(ArtifactReject, ComponentSizesDontSum) {
-  auto b = bytes_;
-  const std::size_t off = section_offset(b, 2) + 4;  // first size field
-  patch<std::uint32_t>(b, off, peek<std::uint32_t>(b, off) + 1);
-  reseal(b);
-  expect_reject(b, "size sum");
-}
-
 TEST_F(ArtifactReject, ZeroRouterDepth) {
   auto b = bytes_;
-  patch<std::uint32_t>(b, section_offset(b, 3), 0);
+  patch<std::uint32_t>(b, section_offset(b, 3) + 80, 0);
   reseal(b);
   expect_reject(b, "depth 0");
 }
 
-TEST_F(ArtifactReject, RelayParentOutOfRange) {
+TEST_F(ArtifactReject, RouterDepthAboveCap) {
+  // The derived portal table is num_components * depth entries; the cap
+  // keeps one META field from demanding an unbounded allocation.
   auto b = bytes_;
-  patch<std::uint32_t>(b, section_offset(b, 3) + 8, 0xffffffffu);
+  patch<std::uint32_t>(b, section_offset(b, 3) + 80, kMaxRouterDepth + 1);
   reseal(b);
-  expect_reject(b, "relay parent");
-}
-
-TEST_F(ArtifactReject, RelayDepthInconsistent) {
-  auto b = bytes_;
-  const std::size_t depth0 = section_offset(b, 3) + 8 + 4 * n_;
-  patch<std::uint32_t>(b, depth0, peek<std::uint32_t>(b, depth0) + 5);
-  reseal(b);
-  expect_reject(b, "relay depth");
+  expect_reject(b, "depth above cap");
 }
 
 TEST_F(ArtifactReject, TrianglesNotSorted) {
   auto b = bytes_;
-  patch<std::uint32_t>(b, section_offset(b, 4) + 8, 0xfffffff0u);
+  patch<std::uint32_t>(b, section_offset(b, 2) + 8, 0xfffffff0u);
   reseal(b);
   expect_reject(b, "triangle order");
 }
 
+TEST_F(ArtifactReject, TripleIsNotATriangle) {
+  // Raise the last triple's top vertex to n - 1: still sorted, in range
+  // and strictly ascending, but two of its edges are missing.
+  auto b = bytes_;
+  const auto count = peek<std::uint64_t>(b, section_offset(b, 2));
+  const std::size_t last = section_offset(b, 2) + 8 + 12 * (count - 1);
+  const auto top = static_cast<VertexId>(n_ - 1);
+  ASSERT_LT(peek<std::uint32_t>(b, last + 8), top);
+  ASSERT_FALSE(small_graph().has_edge(peek<std::uint32_t>(b, last), top));
+  patch<std::uint32_t>(b, last + 8, top);
+  reseal(b);
+  expect_reject(b, "non-triangle triple");
+}
+
+TEST_F(ArtifactReject, TriangleCountOverflows) {
+  // 12 * (count + 2^62) wraps to 12 * count.
+  auto b = bytes_;
+  const std::size_t at = section_offset(b, 2);
+  patch<std::uint64_t>(b, at,
+                       peek<std::uint64_t>(b, at) + (std::uint64_t{1} << 62));
+  reseal(b);
+  expect_reject(b, "wrapped triangle count");
+}
+
 TEST_F(ArtifactReject, UnknownDecompositionBackend) {
   auto b = bytes_;
-  patch<std::uint32_t>(b, section_offset(b, 5) + 68, 7u);
+  patch<std::uint32_t>(b, section_offset(b, 3) + 68, 7u);
   reseal(b);
   expect_reject(b, "decomposition backend");
 }
 
 TEST_F(ArtifactReject, MetaSizeWrong) {
   auto b = bytes_;
-  patch<std::uint64_t>(b, kHeader + 5 * kEntry + 16, section_size(b, 5) - 8);
+  patch<std::uint64_t>(b, kHeader + 3 * kEntry + 16, section_size(b, 3) - 8);
   patch<std::uint64_t>(b, 16, b.size() - 8);
   b.resize(b.size() - 8);
   reseal(b);
