@@ -10,10 +10,10 @@
 //        engages; exactness against ground truth everywhere.
 //   E4c  router ablation: GKS cost model vs fully simulated TreeRouter.
 //   E4d  proxy-join data plane: wall clock of the flat-arena
-//        enumerate_cluster (triple ranking + sort-grouped buckets + CSR
-//        merge join + stamped scratch) over a 100-cluster workload at
-//        --scale ambient vertices, checked exact against the local
-//        baseline's triangle count.  --json PATH emits the E4d summary
+//        enumerate_cluster (triple ranking + counting-placed buckets +
+//        in-place kernelized join + stamped scratch) over a 100-cluster
+//        workload at --scale ambient vertices, checked exact against the
+//        local baseline's triangle count.  --json PATH emits the E4d summary
 //        (the BENCH_triangle.json trajectory point).
 
 #include <algorithm>
@@ -137,7 +137,7 @@ std::string run_e4d(std::size_t scale) {
   }
 
   // One pass over every cluster: stamped arena membership + the flat
-  // tuple plane.
+  // proxy plane.
   const auto run_flat = [&] {
     std::uint64_t tris = 0, demands = 0;
     auto& scratch = triangle::TriangleScratch::for_thread();
@@ -216,9 +216,10 @@ std::string run_e4d(std::size_t scale) {
 /// E4d-large: the join phase alone, at million-edge scale.  Two
 /// components, matching the two consumers:
 ///
-///  * **bucket**: one dense cluster's proxy-tuple plane (every edge shipped
-///    to its p proxy triples, exactly the data-plane expansion), joined by
-///    the kernelized join_proxy_buckets;
+///  * **bucket**: one dense cluster's proxy plane (every edge shipped to
+///    its p proxy triples, exactly the data-plane expansion), laid out in
+///    bucket order and joined by join_proxy_plane -- the timed pass covers
+///    layout and join, with no per-pass copy of the plane;
 ///  * **csr**: the local baseline's CSR merge join csr_triangle_join on a
 ///    skewed graph (loaded from --input, else preferential attachment --
 ///    hubs cross the bitmap threshold).
@@ -242,21 +243,18 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
   const triangle::TripleRanker ranker(p);
   std::vector<std::uint32_t> groups(cn);
   for (auto& gr : groups) gr = static_cast<std::uint32_t>(rng.next_below(p));
-  std::vector<triangle::ProxyTuple> plane;
-  plane.reserve(cg.num_edges() * p);
+  std::vector<std::uint64_t> edges;
+  edges.reserve(cg.num_edges());
   cg.for_each_live_edge([&](EdgeId, VertexId u, VertexId v) {
-    for (std::uint32_t w = 0; w < p; ++w) {
-      plane.push_back(
-          triangle::ProxyTuple{ranker.rank(groups[u], groups[v], w), u, v});
-    }
+    edges.push_back(triangle::pack_edge(u, v));
   });
 
   triangle::JoinScratch js;
   std::vector<triangle::Triangle> tris;
   const auto bucket_join = [&] {
-    auto tuples = plane;  // the join groups in place; copy per pass
+    // The plane sorts `edges` in place; later passes find it sorted.
     tris.clear();
-    triangle::join_proxy_buckets(tuples, ranker, groups.data(), js, tris);
+    triangle::join_proxy_plane(edges, ranker, groups.data(), js, tris);
   };
   bucket_join();
   std::sort(tris.begin(), tris.end());  // bucket order -> (x, y, z) order
@@ -329,7 +327,8 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
   const bool exact = bucket_exact && csr_exact;
   Table t("E4d-large: join phase on the hybrid kernels",
           {"component", "work", "triangles", "kernel ms", "exact?"});
-  t.add_row({"bucket join", Table::cell(static_cast<std::uint64_t>(plane.size())),
+  t.add_row({"bucket join",
+             Table::cell(static_cast<std::uint64_t>(js.u.size())),
              Table::cell(bucket_tris), Table::cell(bucket_ms),
              bucket_exact ? "yes" : "NO"});
   t.add_row({"csr join",
@@ -342,7 +341,7 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
   std::ostringstream out;
   out << "  \"e4d_large\": {\n"
       << "    \"scale\": " << scale << ",\n"
-      << "    \"bucket\": {\"tuples\": " << plane.size()
+      << "    \"bucket\": {\"tuples\": " << js.u.size()
       << ", \"p\": " << p << ", \"triangles\": " << bucket_tris
       << ", \"kernel_ms\": " << bucket_ms << ", \"exact\": "
       << (bucket_exact ? "true" : "false") << "},\n"

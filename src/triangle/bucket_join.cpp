@@ -3,45 +3,46 @@
 #include <algorithm>
 
 #include "triangle/intersect.hpp"
+#include "util/check.hpp"
 
 namespace xd::triangle {
 
 namespace {
 
-/// Orders the plane by (rank, u, v) and dedups.  The counting path pays an
-/// O(R) counter clear, so take it only when the plane is at least a
-/// constant fraction of the rank domain; sparse planes comparison-sort
-/// directly.  Both paths produce the identical ordering.
-void group_tuples(std::vector<ProxyTuple>& tuples, const TripleRanker& ranker,
-                  JoinScratch& js) {
-  const std::uint64_t num_ranks = ranker.count();
-  if (tuples.size() * 4 >= num_ranks) {
-    js.counts.assign(num_ranks + 1, 0);
-    for (const ProxyTuple& t : tuples) ++js.counts[t.rank + 1];
-    for (std::uint64_t r = 0; r < num_ranks; ++r) {
-      js.counts[r + 1] += js.counts[r];
-    }
-    js.scatter.resize(tuples.size());
-    for (const ProxyTuple& t : tuples) js.scatter[js.counts[t.rank]++] = t;
-    tuples.swap(js.scatter);
-    // counts[r] now marks the end of bucket r; sort each span by (u, v).
-    std::size_t lo = 0;
-    for (std::uint64_t r = 0; r < num_ranks && lo < tuples.size(); ++r) {
-      const std::size_t hi = js.counts[r];
-      if (hi > lo + 1) std::sort(tuples.begin() + lo, tuples.begin() + hi);
-      lo = hi;
-    }
-  } else {
-    std::sort(tuples.begin(), tuples.end());
+constexpr std::uint64_t kU32Limit = std::uint64_t{1} << 32;
+
+/// Above every packed edge (min < max, so never all ones): closes each
+/// pair list, and stands in for a bucket's missing lists.
+constexpr std::uint64_t kNoEdge = ~std::uint64_t{0};
+
+/// Writes the `size` smallest edges of three sorted, kNoEdge-terminated,
+/// pairwise disjoint edge lists, ascending, to us/vs.  Branch-free: the
+/// picks are data-dependent, so a branchy merge would mispredict.
+void merge_lists(const std::uint64_t* pa, const std::uint64_t* pb,
+                 const std::uint64_t* pc, std::uint32_t size,
+                 std::uint32_t* us, std::uint32_t* vs) {
+  std::uint64_t a = *pa, b = *pb, c = *pc;
+  for (std::uint32_t t = 0; t < size; ++t) {
+    const bool take_b = b < a;
+    const std::uint64_t m = take_b ? b : a;
+    const bool take_c = c < m;
+    const std::uint64_t e = take_c ? c : m;
+    us[t] = static_cast<std::uint32_t>(e >> 32);
+    vs[t] = static_cast<std::uint32_t>(e);
+    pa += !take_b & !take_c;
+    pb += take_b & !take_c;
+    pc += take_c;
+    a = *pa;
+    b = *pb;
+    c = *pc;
   }
-  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
 }
 
-/// Kernelized join of one bucket span [lo, hi).  The span's larger
-/// endpoints are copied to a contiguous u32 array (SIMD-friendly) and the
-/// runs of equal smaller endpoint are indexed once; each wedge source y in
-/// the run of x then closes via ONE intersection of the x-run's tail with
-/// y's run, instead of one binary search per candidate pair:
+/// Kernelized join of one bucket span of `bn` copies: smaller endpoints
+/// `us`, larger endpoints `vals`, sorted by (u, v).  The runs of equal
+/// smaller endpoint are indexed once; each wedge source y in the run of x
+/// then closes via ONE intersection of the x-run's tail with y's run,
+/// instead of one binary search per candidate pair:
 ///
 ///   * run(x) holds x's bucket-neighbors > x, strictly ascending;
 ///   * run(y) (further down the span, since y > x) holds y's neighbors
@@ -53,28 +54,24 @@ void group_tuples(std::vector<ProxyTuple>& tuples, const TripleRanker& ranker,
 /// each run(y) against it; the bitmap holds *all* of run(x), but every
 /// probed z is > y, so the match set equals the tail intersection exactly.
 /// Emission order is (x asc, y asc, z asc).
-void join_bucket_kernel(const std::vector<ProxyTuple>& tuples, std::size_t lo,
-                        std::size_t hi, std::uint64_t rank,
+void join_bucket_kernel(const std::uint32_t* us, const std::uint32_t* vals,
+                        std::size_t bn, std::uint64_t rank,
                         const TripleRanker& ranker,
                         const std::uint32_t* groups, JoinScratch& js,
                         std::vector<Triangle>& out) {
-  const std::size_t bn = hi - lo;
-  js.vals.resize(bn);
-  for (std::size_t t = 0; t < bn; ++t) js.vals[t] = tuples[lo + t].v;
   js.run_u.clear();
   js.run_begin.clear();
   js.run_end.clear();
   for (std::size_t t = 0; t < bn;) {
-    const VertexId u = tuples[lo + t].u;
+    const VertexId u = us[t];
     const std::size_t begin = t;
-    while (t < bn && tuples[lo + t].u == u) ++t;
+    while (t < bn && us[t] == u) ++t;
     js.run_u.push_back(u);
     js.run_begin.push_back(static_cast<std::uint32_t>(begin));
     js.run_end.push_back(static_cast<std::uint32_t>(t));
   }
   js.matches.resize(bn + intersect::kOutSlack);
 
-  const std::uint32_t* vals = js.vals.data();
   std::uint32_t* matches = js.matches.data();
   auto& bm = intersect::BitmapIntersect::for_thread();
   const std::size_t num_runs = js.run_u.size();
@@ -116,21 +113,113 @@ void join_bucket_kernel(const std::vector<ProxyTuple>& tuples, std::size_t lo,
 
 }  // namespace
 
-void join_proxy_buckets(std::vector<ProxyTuple>& tuples,
+void layout_proxy_plane(std::vector<std::uint64_t>& edges,
                         const TripleRanker& ranker,
-                        const std::uint32_t* groups, JoinScratch& js,
-                        std::vector<Triangle>& out) {
-  if (tuples.empty()) return;
-  group_tuples(tuples, ranker, js);
+                        const std::uint32_t* groups, JoinScratch& js) {
+  const std::uint32_t p = ranker.p();
+  const std::uint64_t num_ranks = ranker.count();
+  XD_CHECK_MSG(num_ranks < kU32Limit,
+               "proxy rank domain " << num_ranks << " does not fit u32");
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  const std::uint64_t copies = std::uint64_t{p} * edges.size();
+  XD_CHECK_MSG(copies < kU32Limit,
+               "proxy plane of " << copies << " copies does not fit u32");
 
-  // Kernelized join, one bucket span at a time.
-  const std::size_t n = tuples.size();
-  std::size_t lo = 0;
-  while (lo < n) {
-    const std::uint64_t rank = tuples[lo].rank;
-    std::size_t hi = lo;
-    while (hi < n && tuples[hi].rank == rank) ++hi;
-    join_bucket_kernel(tuples, lo, hi, rank, ranker, groups, js, out);
+  js.u.resize(copies);
+  js.v.resize(copies);
+  js.bucket_rank.clear();
+  js.bucket_end.clear();
+  if (copies * 4 >= num_ranks) {
+    // Bucket r holds the edges of every unordered group pair its sorted
+    // triple a <= b <= c contains: at most three pairs, with disjoint edge
+    // lists.  Group the sorted edges by pair, each list in (u, v) order
+    // and closed by kNoEdge, then write the buckets in rank order (the
+    // lexicographic triple order), each as one merge of its pairs' lists.
+    // Reads and writes stream, and every bucket comes out sorted and
+    // duplicate-free.
+    const std::size_t num_pairs = std::size_t{p} * p;
+    const auto pair_of = [&](std::uint64_t e) {
+      std::uint32_t ga = groups[e >> 32];
+      std::uint32_t gb = groups[static_cast<std::uint32_t>(e)];
+      if (ga > gb) std::swap(ga, gb);
+      return std::size_t{ga} * p + gb;
+    };
+    auto& ends = js.pair_ends;
+    ends.assign(num_pairs + 1, 0);
+    for (const std::uint64_t e : edges) ++ends[pair_of(e) + 1];
+    for (std::size_t k = 0; k < num_pairs; ++k) ends[k + 1] += ends[k] + 1;
+    js.pair_edges.assign(ends[num_pairs], kNoEdge);
+    for (const std::uint64_t e : edges) js.pair_edges[ends[pair_of(e)]++] = e;
+    // ends[k] now indexes pair k's sentinel; its list starts one past
+    // pair k - 1's.
+    std::uint32_t pos = 0;
+    std::uint32_t r = 0;
+    for (std::uint32_t a = 0; a < p; ++a) {
+      for (std::uint32_t b = a; b < p; ++b) {
+        for (std::uint32_t c = b; c < p; ++c, ++r) {
+          const std::uint64_t* lists[3] = {&kNoEdge, &kNoEdge, &kNoEdge};
+          std::uint32_t size = 0;
+          int num_lists = 0;
+          const auto add = [&](std::uint32_t ga, std::uint32_t gb) {
+            const std::size_t k = std::size_t{ga} * p + gb;
+            const std::size_t lo = k == 0 ? 0 : ends[k - 1] + 1;
+            if (ends[k] == lo) return;
+            lists[num_lists++] = js.pair_edges.data() + lo;
+            size += static_cast<std::uint32_t>(ends[k] - lo);
+          };
+          add(a, b);
+          if (c != b) add(a, c);
+          if (a != b) add(b, c);
+          if (size == 0) continue;
+          merge_lists(lists[0], lists[1], lists[2], size, js.u.data() + pos,
+                      js.v.data() + pos);
+          pos += size;
+          js.bucket_rank.push_back(r);
+          js.bucket_end.push_back(pos);
+        }
+      }
+    }
+  } else {
+    // Sparse: sorting one (rank, edge index) key per copy gives the same
+    // order, since edge indices ascend in (u, v).  An edge's p ranks are
+    // its group pair with every third group.
+    js.keys.clear();
+    js.keys.reserve(copies);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const std::uint32_t ga = groups[edges[i] >> 32];
+      const std::uint32_t gb = groups[static_cast<std::uint32_t>(edges[i])];
+      for (std::uint32_t c = 0; c < p; ++c) {
+        js.keys.push_back((ranker.rank(ga, gb, c) << 32) | i);
+      }
+    }
+    std::sort(js.keys.begin(), js.keys.end());
+    for (std::size_t t = 0; t < copies; ++t) {
+      const auto r = static_cast<std::uint32_t>(js.keys[t] >> 32);
+      const std::uint64_t e = edges[static_cast<std::uint32_t>(js.keys[t])];
+      js.u[t] = static_cast<std::uint32_t>(e >> 32);
+      js.v[t] = static_cast<std::uint32_t>(e);
+      if (js.bucket_rank.empty() || js.bucket_rank.back() != r) {
+        js.bucket_rank.push_back(r);
+        js.bucket_end.push_back(0);
+      }
+      js.bucket_end.back() = static_cast<std::uint32_t>(t + 1);
+    }
+  }
+}
+
+void join_proxy_plane(std::vector<std::uint64_t>& edges,
+                      const TripleRanker& ranker, const std::uint32_t* groups,
+                      JoinScratch& js, std::vector<Triangle>& out) {
+  if (edges.empty()) return;
+  layout_proxy_plane(edges, ranker, groups, js);
+
+  // Kernelized join, one bucket span at a time, read in place.
+  std::uint32_t lo = 0;
+  for (std::size_t b = 0; b < js.bucket_rank.size(); ++b) {
+    const std::uint32_t hi = js.bucket_end[b];
+    join_bucket_kernel(js.u.data() + lo, js.v.data() + lo, hi - lo,
+                       js.bucket_rank[b], ranker, groups, js, out);
     lo = hi;
   }
 }

@@ -4,13 +4,18 @@
 /// The flat proxy-bucket join shared by the clustered (cluster_enum) and
 /// CONGESTED-CLIQUE (clique_dlp) triangle data planes.
 ///
-/// Every edge copy shipped to a proxy is one (rank, u, v) tuple; one pass
-/// groups the whole plane into buckets ordered by (rank, u, v) -- proxies
-/// in triple order (triple_rank.hpp), edges sorted within each bucket.
-/// Dense planes take an O(N + R) counting scatter over the R = C(p+2,3)
-/// rank domain plus tiny per-bucket sorts; sparse planes (small clusters)
-/// skip the O(R) counter clear and comparison-sort directly -- both orders
-/// are identical.
+/// Callers hand the plane one packed edge per shipped edge (pack_edge), in
+/// any order and possibly repeated.  The plane sorts and dedups that list
+/// once, then lays every edge copy out in bucket order -- proxies in
+/// triple order (triple_rank.hpp) -- as two flat u32 endpoint arrays.
+/// Dense planes group the sorted edges by unordered group pair; a bucket
+/// of the R = C(p+2,3) rank domain holds exactly the edges of the (at
+/// most three) pairs its triple contains, so each bucket is written, in
+/// rank order, as one streaming merge of those sorted, disjoint lists:
+/// sorted by (u, v) and duplicate-free with no sort of the copies.
+/// Sparse planes (small clusters) skip the O(R) walk over the rank domain
+/// and sort one (rank, edge index) key per copy instead -- the identical
+/// order.
 ///
 /// Each bucket then joins with zero per-bucket setup: bucket edges sharing
 /// their smaller endpoint x sit consecutively (a *run*), every pair (x,y),
@@ -23,6 +28,7 @@
 /// high-degree runs.  Tests check the join against triangles_exact
 /// (graph/metrics.hpp).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,45 +38,49 @@
 
 namespace xd::triangle {
 
-/// One shipped edge copy: proxy rank plus sorted endpoints (u < v).
-struct ProxyTuple {
-  std::uint64_t rank;
-  VertexId u, v;
+/// One plane edge: (min << 32) | max, so u64 order is (u, v) order.
+inline std::uint64_t pack_edge(VertexId u, VertexId v) {
+  return (static_cast<std::uint64_t>(std::min(u, v)) << 32) | std::max(u, v);
+}
 
-  friend bool operator<(const ProxyTuple& a, const ProxyTuple& b) {
-    if (a.rank != b.rank) return a.rank < b.rank;
-    if (a.u != b.u) return a.u < b.u;
-    return a.v < b.v;
-  }
-  friend bool operator==(const ProxyTuple& a, const ProxyTuple& b) {
-    return a.rank == b.rank && a.u == b.u && a.v == b.v;
-  }
-};
-
-/// Reusable storage for the counting scatter.  Capacities persist across
-/// buckets, clusters, and levels; nothing here is sized by the ambient
-/// vertex count (the rank domain is O(p^3) = O(n) but is touched only on
-/// the dense path, where the tuple plane itself is at least as large).
+/// Reusable storage for the bucket layout and the join.  Capacities
+/// persist across buckets, clusters, and levels; nothing here is sized by
+/// the ambient vertex count (the pair tables are O(p^2), and the rank
+/// domain, O(p^3) = O(n), is walked only on the dense path, where the
+/// plane itself is at least a quarter as large).
 struct JoinScratch {
-  std::vector<std::uint32_t> counts;  ///< per-rank counters / end offsets
-  std::vector<ProxyTuple> scatter;    ///< counting-sort target buffer
+  std::vector<std::size_t> pair_ends;     ///< dense: per-pair list ends
+  std::vector<std::uint64_t> pair_edges;  ///< dense: edges grouped by pair
+  std::vector<std::uint64_t> keys;        ///< sparse: (rank << 32) | edge
+  /// The laid-out plane: copy t is edge (u[t], v[t]), u < v.  Non-empty
+  /// bucket b holds copies [bucket_end[b-1], bucket_end[b]) (from 0 for
+  /// b = 0), of proxy bucket_rank[b], sorted by (u, v) without repeats.
+  std::vector<std::uint32_t> u, v;
+  std::vector<std::uint32_t> bucket_rank, bucket_end;
   // Kernelized join scratch, bucket-local (capacities persist):
-  std::vector<std::uint32_t> vals;       ///< the span's larger endpoints
   std::vector<std::uint32_t> run_u;      ///< distinct smaller endpoints
-  std::vector<std::uint32_t> run_begin;  ///< run extents into vals,
+  std::vector<std::uint32_t> run_begin;  ///< run extents into the span,
   std::vector<std::uint32_t> run_end;    ///<   parallel to run_u
   std::vector<std::uint32_t> matches;    ///< kernel output buffer
 };
 
-/// Groups `tuples` by (rank, u, v), dedups, joins each bucket, and appends
+/// Sorts and dedups `edges` (packed by pack_edge) in place and lays out
+/// every copy of every edge -- one per proxy triple containing its group
+/// pair -- in scratch.u / scratch.v / bucket_rank / bucket_end.  Throws
+/// CheckError, before allocating, when the copies or the rank domain do
+/// not fit u32 (edges × p ≥ 2^32 or C(p+2,3) ≥ 2^32).  `groups[v]` is
+/// the group of ambient vertex v.
+void layout_proxy_plane(std::vector<std::uint64_t>& edges,
+                        const TripleRanker& ranker,
+                        const std::uint32_t* groups, JoinScratch& scratch);
+
+/// Lays out `edges` (layout_proxy_plane), joins each bucket, and appends
 /// every triangle x < y < z whose group triple ranks to its bucket (the
 /// ownership rule that keeps reports duplicate-free across proxies).
-/// `groups[v]` is the group of ambient vertex v.  Closing-edge searches run
-/// on the hybrid intersection kernels; output (content and order) is
-/// identical under every kernel/ISA.
-void join_proxy_buckets(std::vector<ProxyTuple>& tuples,
-                        const TripleRanker& ranker,
-                        const std::uint32_t* groups, JoinScratch& scratch,
-                        std::vector<Triangle>& out);
+/// Closing-edge searches run on the hybrid intersection kernels; output
+/// (content and order) is identical under every kernel/ISA.
+void join_proxy_plane(std::vector<std::uint64_t>& edges,
+                      const TripleRanker& ranker, const std::uint32_t* groups,
+                      JoinScratch& scratch, std::vector<Triangle>& out);
 
 }  // namespace xd::triangle

@@ -33,25 +33,25 @@ EnumerationResult enumerate_clique_dlp(const Graph& g,
 
   CliqueNetwork net(n, ledger);
   auto& scratch = TriangleScratch::for_thread();
-  auto& tuples = scratch.tuples;
-  tuples.clear();
+  auto& edges = scratch.edges;
+  edges.clear();
 
   // Ship every edge (sender: min endpoint) to the proxies of every triple
-  // containing its group pair; the same pass stages the local bucket plane
-  // (identical to re-deriving the targets at each host -- the exchange
-  // below charges the rounds for the shipped part).  Message payload:
-  // endpoints packed in words[0], proxy rank in words[1].
+  // containing its group pair; the same pass stages the edge for the local
+  // bucket plane (identical to re-deriving the targets at each host -- the
+  // exchange below charges the rounds for the shipped part).  Message
+  // payload: endpoints packed in words[0], proxy rank in words[1].
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto [u, v] = g.edge(e);
     if (u == v) continue;
     const VertexId sender = std::min(u, v);
     const std::uint32_t gu = groups[u];
     const std::uint32_t gv = groups[v];
+    edges.push_back(pack_edge(u, v));
     // Ranks over {gu, gv, c} ascend with c (multiset monotonicity), so the
     // send order matches the seed's sorted-key iteration exactly.
     for (std::uint32_t c = 0; c < p; ++c) {
       const std::uint64_t rank = ranker.rank(gu, gv, c);
-      tuples.push_back(ProxyTuple{rank, sender, std::max(u, v)});
       const auto host = static_cast<VertexId>(rank % n);
       if (host == sender) continue;  // local knowledge, no message needed
       net.send(sender, host,
@@ -64,7 +64,7 @@ EnumerationResult enumerate_clique_dlp(const Graph& g,
   // Join per proxy triple over the flat plane (bucket_join.hpp); the
   // ownership rule keeps the output duplicate-free across proxies.
   std::vector<Triangle> found;
-  join_proxy_buckets(tuples, ranker, groups.data(), scratch.join, found);
+  join_proxy_plane(edges, ranker, groups.data(), scratch.join, found);
   std::sort(found.begin(), found.end());
   found.erase(std::unique(found.begin(), found.end()), found.end());
 

@@ -24,9 +24,9 @@ std::vector<Triangle> enumerate_cluster(
   // Build demands (knower -> host, one message per shipped edge copy) and
   // the flat proxy plane.  Proxy hosts are round-robin over the cluster's
   // vertices in triple-rank order, so host lookup is index arithmetic.
-  auto& tuples = scratch.tuples;
+  auto& edges = scratch.edges;
   auto& demands = scratch.demands;
-  tuples.clear();
+  edges.clear();
   demands.clear();
   for (const EdgeId e : edge_ids) {
     const auto [u, v] = ambient.edge(e);
@@ -43,15 +43,13 @@ std::vector<Triangle> enumerate_cluster(
     }
     const std::uint32_t gu = groups[u];
     const std::uint32_t gv = groups[v];
-    const VertexId a = std::min(u, v);
-    const VertexId b = std::max(u, v);
+    edges.push_back(pack_edge(u, v));
     // The p ranks over {gu, gv, c} are pairwise distinct and already
     // ascending in c (raising one element of a multiset raises its sorted
     // vector pointwise), so each edge's demands leave in triple order.
     for (std::uint32_t c = 0; c < p; ++c) {
       const std::uint64_t r = ranker.rank(gu, gv, c);
       const VertexId host = cluster_vertices[r % cluster_vertices.size()];
-      tuples.push_back(ProxyTuple{r, a, b});
       if (host != knower) {
         demands.push_back(
             routing::Demand{to_local.at(knower), to_local.at(host), 1});
@@ -60,11 +58,12 @@ std::vector<Triangle> enumerate_cluster(
   }
   if (!demands.empty()) router.route(demands);
 
-  // Proxy joins: one sort groups the plane; each bucket joins over its
-  // local CSR (bucket_join.hpp).  The ownership rule (report only at the
-  // proxy owning the triangle's group triple) keeps reports unique.
+  // Proxy joins: the plane lays every copy out in bucket order and joins
+  // each bucket in place (bucket_join.hpp).  The ownership rule (report
+  // only at the proxy owning the triangle's group triple) keeps reports
+  // unique.
   std::vector<Triangle> out;
-  join_proxy_buckets(tuples, ranker, groups.data(), scratch.join, out);
+  join_proxy_plane(edges, ranker, groups.data(), scratch.join, out);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

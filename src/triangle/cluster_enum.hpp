@@ -20,10 +20,10 @@
 /// the batch needs Õ(n^{1/3}) queries -- Theorem 2's budget).
 ///
 /// Data plane (docs/triangle.md): proxies are identified by the O(1)
-/// combinatorial rank of their sorted triple (triple_rank.hpp), the bucket
-/// store is one flat (rank, u, v) tuple vector grouped by a single sort,
-/// and each bucket joins over a bucket-local CSR with two-pointer
-/// sorted-neighbor intersection (bucket_join.hpp).  All ambient-sized
+/// combinatorial rank of their sorted triple (triple_rank.hpp), the
+/// cluster's edges are laid out once, straight into bucket order, as two
+/// flat endpoint arrays, and each bucket joins in place on the hybrid
+/// intersection kernels (bucket_join.hpp).  All ambient-sized
 /// scratch is epoch-stamped and reused across clusters and levels
 /// (TriangleScratch).  Tests check it against triangles_exact
 /// (graph/metrics.hpp) on the cluster's edge set.
@@ -51,7 +51,7 @@ struct TriangleScratch {
   /// in-cluster flag.  Callers stamp a fresh epoch and fill it with the
   /// cluster's members before enumerate_cluster.
   util::StampedMap<VertexId> to_local;
-  std::vector<ProxyTuple> tuples;  ///< the flat (rank, u, v) plane
+  std::vector<std::uint64_t> edges;  ///< the cluster's packed plane edges
   std::vector<routing::Demand> demands;
   JoinScratch join;
 

@@ -15,9 +15,10 @@
 ///
 /// This replaces the seed's (a*p + b)*p + c hash key plus its O(p^3)
 /// unordered host table: host lookup becomes index arithmetic
-/// (cluster_vertices[rank % |V_i|]), and sorting flat (rank, u, v) tuples
-/// reproduces the seed's std::map bucket order exactly, because rank is
-/// monotone in the old key (both walk the same lexicographic order).
+/// (cluster_vertices[rank % |V_i|]), and ordering the proxy plane by
+/// (rank, u, v) reproduces the seed's std::map bucket order exactly,
+/// because rank is monotone in the old key (both walk the same
+/// lexicographic order).
 
 #include <algorithm>
 #include <cstdint>
@@ -28,6 +29,9 @@ namespace xd::triangle {
 class TripleRanker {
  public:
   explicit TripleRanker(std::uint32_t p) : p_(p) {}
+
+  /// Group count p.
+  [[nodiscard]] std::uint32_t p() const { return p_; }
 
   /// Number of sorted triples: C(p+2, 3).
   [[nodiscard]] std::uint64_t count() const { return tet(p_); }

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/metrics.hpp"
@@ -12,6 +14,7 @@
 #include "triangle/bucket_join.hpp"
 #include "triangle/triple_rank.hpp"
 #include "util/bitset_arena.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace xd::triangle::intersect {
@@ -284,7 +287,7 @@ TEST(IntersectConsumers, CsrJoinMatchesExact) {
 }
 
 // The kernelized proxy-bucket join against the triangles_exact oracle on
-// random tuple planes, including planes dense enough to cross the bitmap
+// random edge lists, including planes dense enough to cross the bitmap
 // threshold inside single runs.  Every edge reaches every proxy of its
 // group pair, so each triangle must be reported exactly once.
 TEST(IntersectConsumers, BucketJoinMatchesExact) {
@@ -298,27 +301,195 @@ TEST(IntersectConsumers, BucketJoinMatchesExact) {
       g = static_cast<std::uint32_t>(rng.next_below(p));
     }
     const double density = trial % 2 == 0 ? 0.2 : 0.7;
-    std::vector<ProxyTuple> tuples;
+    std::vector<std::uint64_t> edges;
     GraphBuilder builder(n);
     for (VertexId u = 0; u < n; ++u) {
       for (VertexId v = u + 1; v < n; ++v) {
         if (!rng.next_bool(density)) continue;
         builder.add_edge(u, v);
-        // Ship the edge to every proxy triple containing its group pair,
-        // exactly like the data planes do.
-        for (std::uint32_t w = 0; w < p; ++w) {
-          tuples.push_back(
-              ProxyTuple{ranker.rank(groups[u], groups[v], w), u, v});
-        }
+        edges.push_back(pack_edge(v, u));  // either endpoint order packs
       }
     }
     JoinScratch js;
     std::vector<Triangle> got;
-    join_proxy_buckets(tuples, ranker, groups.data(), js, got);
+    join_proxy_plane(edges, ranker, groups.data(), js, got);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
         << "duplicate report, trial " << trial;
     EXPECT_EQ(got, triangles_exact(builder.build())) << "trial " << trial;
+  }
+}
+
+/// One laid-out plane, as (rank, u, v) per copy in layout order.
+struct LaidOutCopy {
+  std::uint32_t rank, u, v;
+  friend bool operator==(const LaidOutCopy&, const LaidOutCopy&) = default;
+  friend auto operator<=>(const LaidOutCopy&, const LaidOutCopy&) = default;
+};
+
+/// Reads the layout back: every bucket span, tagged with its rank.  Also
+/// checks the bucket index itself: non-empty spans, strictly ascending
+/// ranks, ends covering the whole plane.
+std::vector<LaidOutCopy> read_layout(const JoinScratch& js) {
+  std::vector<LaidOutCopy> out;
+  EXPECT_EQ(js.bucket_rank.size(), js.bucket_end.size());
+  EXPECT_EQ(js.u.size(), js.v.size());
+  std::uint32_t lo = 0;
+  for (std::size_t b = 0; b < js.bucket_rank.size(); ++b) {
+    EXPECT_LT(lo, js.bucket_end[b]) << "empty bucket " << b;
+    if (b > 0) {
+      EXPECT_LT(js.bucket_rank[b - 1], js.bucket_rank[b]);
+    }
+    for (std::uint32_t t = lo; t < js.bucket_end[b]; ++t) {
+      out.push_back(LaidOutCopy{js.bucket_rank[b], js.u[t], js.v[t]});
+    }
+    lo = js.bucket_end[b];
+  }
+  EXPECT_EQ(lo, js.u.size());
+  return out;
+}
+
+/// The layout's definition: one (rank, u, v) tuple per copy, sorted and
+/// deduplicated.
+std::vector<LaidOutCopy> reference_layout(
+    const std::vector<std::pair<VertexId, VertexId>>& edges,
+    const TripleRanker& ranker, const std::vector<std::uint32_t>& groups) {
+  std::vector<LaidOutCopy> tuples;
+  for (const auto& [a, b] : edges) {
+    for (std::uint32_t c = 0; c < ranker.p(); ++c) {
+      tuples.push_back(LaidOutCopy{
+          static_cast<std::uint32_t>(ranker.rank(groups[a], groups[b], c)),
+          std::min(a, b), std::max(a, b)});
+    }
+  }
+  std::sort(tuples.begin(), tuples.end());
+  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+  return tuples;
+}
+
+// Every bucket span equals the sorted, deduplicated tuple reference, on
+// both layout branches: dense planes (copies × 4 ≥ R) merge group-pair
+// lists, sparse ones sort (rank, edge) keys.  p = 7 has R = 84 = 4 · 3p,
+// so 3 edges sit exactly on the dense side of the threshold and 2 just
+// below.
+TEST(BucketLayout, SpansMatchSortedTupleReference) {
+  struct Case {
+    std::uint32_t p;
+    std::size_t n, edges;
+    bool dense;
+  };
+  const Case cases[] = {{7, 10, 3, true},    {7, 10, 2, false},
+                        {1, 30, 40, true},   {3, 60, 400, true},
+                        {30, 80, 30, false}, {40, 300, 60, false},
+                        {5, 200, 2000, true}};
+  Rng rng(29);
+  for (const Case& cs : cases) {
+    const TripleRanker ranker(cs.p);
+    ASSERT_EQ(cs.edges * cs.p * 4 >= ranker.count(), cs.dense);
+    std::vector<std::uint32_t> groups(cs.n);
+    for (auto& g : groups) {
+      g = static_cast<std::uint32_t>(rng.next_below(cs.p));
+    }
+    std::vector<std::pair<VertexId, VertexId>> pairs;
+    std::vector<std::uint64_t> edges;
+    while (pairs.size() < cs.edges) {
+      const auto a = static_cast<VertexId>(rng.next_below(cs.n));
+      const auto b = static_cast<VertexId>(rng.next_below(cs.n));
+      if (a == b || std::find(edges.begin(), edges.end(), pack_edge(a, b)) !=
+                        edges.end()) {
+        continue;
+      }
+      pairs.emplace_back(a, b);
+      edges.push_back(pack_edge(a, b));
+    }
+    JoinScratch js;
+    layout_proxy_plane(edges, ranker, groups.data(), js);
+    EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
+    // The branch taken touches only its own staging buffer.
+    EXPECT_EQ(js.keys.empty(), cs.dense) << "p=" << cs.p;
+    EXPECT_EQ(js.pair_edges.empty(), !cs.dense) << "p=" << cs.p;
+    EXPECT_EQ(read_layout(js), reference_layout(pairs, ranker, groups))
+        << "p=" << cs.p << " edges=" << cs.edges;
+  }
+}
+
+// Input order and repeats do not show: every edge twice, shuffled, lays
+// out and joins exactly like the sorted unique list, on both branches.
+TEST(BucketLayout, ShuffledRepeatsMatchSortedUniqueInput) {
+  Rng rng(31);
+  for (const std::uint32_t p : {3u, 9u}) {  // dense, then sparse
+    const TripleRanker ranker(p);
+    const std::size_t n = 60;
+    std::vector<std::uint32_t> groups(n);
+    for (auto& g : groups) g = static_cast<std::uint32_t>(rng.next_below(p));
+    std::vector<std::uint64_t> unique_edges;
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = u + 1; v < n; ++v) {
+        if (rng.next_bool(0.3)) unique_edges.push_back(pack_edge(u, v));
+      }
+    }
+    std::vector<std::uint64_t> repeated;
+    for (const std::uint64_t e : unique_edges) {
+      repeated.push_back(e);
+      repeated.push_back(e);
+    }
+    for (std::size_t i = repeated.size(); i > 1; --i) {  // Fisher-Yates
+      std::swap(repeated[i - 1], repeated[rng.next_below(i)]);
+    }
+    ASSERT_FALSE(std::is_sorted(repeated.begin(), repeated.end()));
+
+    JoinScratch want_js, got_js;
+    std::vector<Triangle> want, got;
+    join_proxy_plane(unique_edges, ranker, groups.data(), want_js, want);
+    join_proxy_plane(repeated, ranker, groups.data(), got_js, got);
+    EXPECT_EQ(repeated, unique_edges) << "p=" << p;
+    EXPECT_EQ(got_js.u, want_js.u) << "p=" << p;
+    EXPECT_EQ(got_js.v, want_js.v) << "p=" << p;
+    EXPECT_EQ(got_js.bucket_rank, want_js.bucket_rank) << "p=" << p;
+    EXPECT_EQ(got_js.bucket_end, want_js.bucket_end) << "p=" << p;
+    EXPECT_EQ(got, want) << "p=" << p;
+    EXPECT_FALSE(want.empty()) << "p=" << p;
+  }
+}
+
+// Offsets and ranks are u32: a rank domain or a plane that does not fit
+// is a CheckError raised before any layout buffer is allocated.
+TEST(BucketLayout, OversizedPlaneIsACheckError) {
+  {
+    const TripleRanker ranker(3000);  // R = C(3002, 3) ≈ 4.5e9
+    ASSERT_GE(ranker.count(), std::uint64_t{1} << 32);
+    const std::vector<std::uint32_t> groups = {0, 1};
+    std::vector<std::uint64_t> edges = {pack_edge(0, 1)};
+    JoinScratch js;
+    std::vector<Triangle> out;
+    EXPECT_THROW(join_proxy_plane(edges, ranker, groups.data(), js, out),
+                 CheckError);
+    EXPECT_EQ(js.pair_ends.capacity(), 0u);
+    EXPECT_EQ(js.pair_edges.capacity(), 0u);
+    EXPECT_EQ(js.u.capacity(), 0u);
+  }
+  {
+    // R = C(2902, 3) ≈ 4.07e9 fits, but 1.5M edges × 2900 copies do not.
+    const std::uint32_t p = 2900;
+    const TripleRanker ranker(p);
+    ASSERT_LT(ranker.count(), std::uint64_t{1} << 32);
+    const std::size_t num_edges = 1'500'000;
+    std::vector<std::uint32_t> groups(num_edges + 1);
+    for (std::size_t v = 0; v < groups.size(); ++v) {
+      groups[v] = static_cast<std::uint32_t>(v % p);
+    }
+    std::vector<std::uint64_t> edges(num_edges);
+    for (std::size_t i = 0; i < num_edges; ++i) {
+      edges[i] = pack_edge(static_cast<VertexId>(i),
+                           static_cast<VertexId>(i + 1));
+    }
+    JoinScratch js;
+    EXPECT_THROW(layout_proxy_plane(edges, ranker, groups.data(), js),
+                 CheckError);
+    EXPECT_EQ(js.pair_ends.capacity(), 0u);
+    EXPECT_EQ(js.pair_edges.capacity(), 0u);
+    EXPECT_EQ(js.keys.capacity(), 0u);
+    EXPECT_EQ(js.u.capacity(), 0u);
   }
 }
 

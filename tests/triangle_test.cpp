@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
@@ -270,14 +274,40 @@ TEST(ClusterEnum, ScratchArenaReusedAcrossClustersAndLevels) {
     return enumerate_congest(g, prm, rng, ledger);
   };
 
+  // The plane's flat buffers, by name: each must keep its storage.
+  const auto plane_buffers = [] {
+    const auto& s = TriangleScratch::for_thread();
+    const auto& js = s.join;
+    const auto buf = [](const auto& vec) {
+      return std::pair{static_cast<const void*>(vec.data()), vec.capacity()};
+    };
+    return std::vector<std::pair<std::string,
+                                 std::pair<const void*, std::size_t>>>{
+        {"edges", buf(s.edges)},
+        {"pair_ends", buf(js.pair_ends)},
+        {"pair_edges", buf(js.pair_edges)},
+        {"keys", buf(js.keys)},
+        {"u", buf(js.u)},
+        {"v", buf(js.v)},
+        {"bucket_rank", buf(js.bucket_rank)},
+        {"bucket_end", buf(js.bucket_end)},
+        {"run_u", buf(js.run_u)},
+        {"matches", buf(js.matches)}};
+  };
+
   (void)run();  // warm the calling thread's arena at ambient size n
   const auto warm = TriangleScratch::for_thread().to_local.stats();
+  const auto warm_buffers = plane_buffers();
 
   const auto res = run();
   const auto after = TriangleScratch::for_thread().to_local.stats();
   EXPECT_EQ(res.clusters_processed, 79u);
   EXPECT_EQ(res.levels, 2);
   EXPECT_EQ(after.grown - warm.grown, 0u);  // zero per-cluster O(n) allocs
+  // The layout and join buffers grow nothing either: same storage, same
+  // capacity, across every cluster and level of the second run.
+  EXPECT_EQ(plane_buffers(), warm_buffers);
+  EXPECT_GT(TriangleScratch::for_thread().join.u.capacity(), 0u);
   // Exactly one stamped epoch per enumerated cluster, every one a reuse
   // hit served from the retained slab.
   EXPECT_EQ(after.reused - warm.reused, res.clusters_processed);
