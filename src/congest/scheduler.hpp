@@ -5,8 +5,8 @@
 ///
 /// The paper's round bounds assume the algorithm runs on all disjoint
 /// components *in parallel* -- one CONGEST network, one clock.  The epoch
-/// scheduler is the host half of that model: the decomposition driver (and
-/// the triangle enumerator's per-cluster stage) collects every active
+/// scheduler is the host half of that model: the decomposition drivers (and
+/// the triangle enumerator's per-cluster stage) collect every active
 /// component of a recursion level into one batch -- an *epoch* -- and runs
 /// the items concurrently here, each with its own forked RoundLedger branch
 /// (ledger.hpp) and its own seed-split Rng.
@@ -88,5 +88,22 @@ class EpochScheduler {
  private:
   int threads_ = 1;
 };
+
+/// The one place an epoch driver picks how an epoch runs -- both Theorem 1
+/// drivers and enumerate_congest's cluster stage go through here.
+/// threads == 0: fn(i, root) for every i in [0, n), in index order on the
+/// calling thread, so components pay one after another (rounds SUM).
+/// threads >= 1: EpochScheduler(threads).run_forked(root, n, fn), so
+/// components share the clock (rounds advance by the epoch MAX, the
+/// composition the paper's Theorem 1/2 bounds assume).
+inline void run_epoch(
+    int threads, RoundLedger& root, std::size_t n,
+    const std::function<void(std::size_t, RoundLedger&)>& fn) {
+  if (threads >= 1) {
+    EpochScheduler(threads).run_forked(root, n, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i, root);
+}
 
 }  // namespace xd::congest

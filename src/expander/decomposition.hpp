@@ -90,16 +90,4 @@ DecompositionResult expander_decomposition(const Graph& g,
                                            Rng& rng,
                                            congest::RoundLedger& ledger);
 
-namespace detail {
-
-/// Shared final assembly of both backends: splits every finalized part
-/// into its connected components on the removed-edge overlay (a final
-/// part can be disconnected via the practical guards), assigns dense ids
-/// in finals order, and checks the partition covers V exactly once.
-void assemble_components(const Graph& g, const std::vector<char>& removed,
-                         const std::vector<std::vector<VertexId>>& finals,
-                         DecompositionResult& out);
-
-}  // namespace detail
-
 }  // namespace xd::expander

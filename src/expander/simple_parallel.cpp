@@ -1,16 +1,11 @@
 #include "expander/simple_parallel.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
-#include "congest/network.hpp"
-#include "congest/scheduler.hpp"
+#include "expander/driver.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
-#include "graph/subgraph.hpp"
-#include "ldd/ldd.hpp"
 #include "sparsecut/partition.hpp"
 #include "util/check.hpp"
 
@@ -33,201 +28,17 @@ std::uint64_t trim_budget(std::uint64_t vol) {
   return 4 * static_cast<std::uint64_t>(std::ceil(lg)) + 8;
 }
 
-/// One schedulable unit; same vertex-disjoint / own-Rng / deferred-effects
-/// discipline as the nibble driver's WorkItem (decomposition.cpp).
-struct WorkItem {
-  enum class Kind {
-    kCluster,  ///< LDD the part, emit one kCertify per cluster
-    kCertify,  ///< one sparse cut at φ₀: finalize, or cut-and-trim
-  };
-  Kind kind;
-  std::vector<VertexId> u;
-  std::uint32_t depth = 0;
-  std::uint32_t trims = 0;  ///< consecutive kCertify passes on this part
-  Rng rng{0};
-};
-
-/// Deferred effects, applied at the epoch barrier in item-index order.
-/// `input` keeps the item's own vertex set so the εm budget guard can
-/// finalize the part untouched when its removals no longer fit.
-struct ItemResult {
-  std::vector<VertexId> input;
-  std::vector<std::pair<EdgeId, RemoveReason>> removals;
-  std::vector<std::vector<VertexId>> finals;
-  std::vector<WorkItem> children;
-  std::uint64_t sparse_cut_calls = 0;
-  std::uint64_t guard_finalized = 0;
-  std::uint32_t depth_seen = 0;
-};
-
-struct Driver {
-  const Graph* g = nullptr;
-  DecompositionParams prm;
-  Schedule schedule;
-  congest::RoundLedger* ledger = nullptr;
-
-  std::vector<char> removed;  // ambient edge overlay
-  std::vector<std::vector<VertexId>> finals;
-  std::uint64_t removal_budget = 0;  // ⌊ε·|E|⌋, enforced at the barrier
-  std::uint64_t removals_applied = 0;
-  DecompositionResult* out = nullptr;
-
-  void mark_removed(EdgeId ambient, RemoveReason reason) {
-    XD_CHECK(!removed[ambient]);
-    removed[ambient] = 1;
-    ++out->removed_by[static_cast<int>(reason)];
-    ++removals_applied;
-  }
-
-  void run(std::vector<VertexId> start, Rng top_rng);
-  ItemResult run_item(WorkItem& item, congest::RoundLedger& lg) const;
-  ItemResult run_cluster(WorkItem& item, congest::RoundLedger& lg) const;
-  ItemResult run_certify(WorkItem& item, congest::RoundLedger& lg) const;
-};
-
-void Driver::run(std::vector<VertexId> start, Rng top_rng) {
-  std::vector<WorkItem> epoch;
-  epoch.push_back(
-      WorkItem{WorkItem::Kind::kCluster, std::move(start), 0, 0, top_rng});
-
-  const bool concurrent = prm.scheduler_threads >= 1;
-  const congest::EpochScheduler pool(concurrent ? prm.scheduler_threads : 1);
-
-  while (!epoch.empty()) {
-    ++out->epochs;
-    std::vector<ItemResult> results(epoch.size());
-    if (concurrent) {
-      pool.run_forked(*ledger, epoch.size(),
-                      [&](std::size_t i, congest::RoundLedger& lg) {
-                        results[i] = run_item(epoch[i], lg);
-                      });
-    } else {
-      for (std::size_t i = 0; i < epoch.size(); ++i) {
-        results[i] = run_item(epoch[i], *ledger);
-      }
-    }
-
-    // Barrier merge in item-index order.  The εm budget guard lives here,
-    // not in the items: items race on host threads and cannot see a shared
-    // running total without breaking bit-identity, while the merge order
-    // is the same at every thread count, so "which item hit the ceiling"
-    // replays exactly.
-    std::vector<WorkItem> next;
-    for (auto& res : results) {
-      if (removals_applied + res.removals.size() > removal_budget) {
-        finals.push_back(std::move(res.input));
-        ++out->guard_finalized;
-        continue;
-      }
-      for (const auto& [ambient, reason] : res.removals) {
-        mark_removed(ambient, reason);
-      }
-      for (auto& part : res.finals) finals.push_back(std::move(part));
-      for (auto& child : res.children) next.push_back(std::move(child));
-      out->sparse_cut_calls += res.sparse_cut_calls;
-      out->guard_finalized += res.guard_finalized;
-      out->max_phase1_depth = std::max(out->max_phase1_depth, res.depth_seen);
-    }
-    epoch = std::move(next);
-  }
-}
-
-ItemResult Driver::run_item(WorkItem& item, congest::RoundLedger& lg) const {
-  switch (item.kind) {
-    case WorkItem::Kind::kCluster:
-      return run_cluster(item, lg);
-    case WorkItem::Kind::kCertify:
-      return run_certify(item, lg);
-  }
-  XD_CHECK_MSG(false, "unreachable work-item kind");
-  return {};
-}
-
-// Clustering step: LDD on G{U} (Remove-1 its cut edges), one certify child
-// per surviving cluster.  Identical probe discipline to the nibble
-// driver's run_ldd: the practical preset skips the call when the measured
-// diameter already meets the LDD's own O(log²n/β²) bound.
-ItemResult Driver::run_cluster(WorkItem& item, congest::RoundLedger& lg) const {
-  ItemResult res;
-  res.input = item.u;
-  res.depth_seen = item.depth;
-  std::vector<VertexId>& u = item.u;
-  if (u.size() <= 1) {
-    res.finals.push_back(std::move(u));
-    return res;
-  }
-  if (item.depth > schedule.d) {
-    // Depth guard: quality loss only, never partition validity (the final
-    // assembly splits disconnected guarded parts).
-    ++res.guard_finalized;
-    res.finals.push_back(std::move(u));
-    return res;
-  }
-
-  const double logn = std::log(std::max<double>(g->num_vertices(), 2));
-  const double ldd_diameter_bound =
-      150.0 * logn * logn / (schedule.beta * schedule.beta);
-  std::optional<GraphView> live;
-  if (prm.preset != Preset::kPaper) {
-    live.emplace(*g, &removed, VertexSet(u));
-  }
-  const bool run_ldd_call =
-      !live ||
-      static_cast<double>(diameter_double_sweep(*live)) > ldd_diameter_bound;
-
-  std::vector<std::vector<VertexId>> comps;
-  if (run_ldd_call) {
-    const LiveSubgraph mat =
-        live ? live->materialize() : live_subgraph(*g, removed, VertexSet(u));
-    ldd::LddParams ldd_prm;
-    ldd_prm.beta = schedule.beta;
-    ldd_prm.K = prm.ldd_K;
-    congest::Network net(mat.graph, lg, item.rng());
-    const ldd::LddResult ldd_res =
-        ldd::low_diameter_decomposition(net, ldd_prm, item.rng);
-    for (EdgeId e = 0; e < mat.graph.num_edges(); ++e) {
-      if (ldd_res.cut_edge[e]) {
-        const EdgeId parent = mat.edge_to_parent[e];
-        XD_CHECK(parent != LiveSubgraph::kNoEdge);
-        res.removals.emplace_back(parent, RemoveReason::kLdd);
-      }
-    }
-    comps.resize(ldd_res.num_components);
-    for (VertexId lv = 0; lv < mat.graph.num_vertices(); ++lv) {
-      comps[ldd_res.component[lv]].push_back(mat.to_parent[lv]);
-    }
-  } else {
-    auto [comp, count] = connected_components(*live);
-    comps.resize(count);
-    for (const VertexId v : live->vertices()) {
-      comps[comp[v]].push_back(v);
-    }
-  }
-
-  std::uint64_t child_id = 0;
-  for (auto& comp : comps) {
-    if (comp.empty()) continue;
-    if (comp.size() == 1) {
-      res.finals.push_back(std::move(comp));
-      continue;
-    }
-    res.children.push_back(WorkItem{WorkItem::Kind::kCertify, std::move(comp),
-                                    item.depth, 0, item.rng.fork(child_id++)});
-  }
-  return res;
-}
-
 // Certification step: one nearly-most-balanced sparse cut at φ₀.  A miss
 // certifies the cluster (Φ >= φ₀ whp) and finalizes it.  A hit Remove-2s
 // the cut edges; the sparse side goes back to clustering one level deeper,
 // and the rest is trimmed -- certified again at the same depth -- until
 // the trim budget forces it back to clustering too.
-ItemResult Driver::run_certify(WorkItem& item, congest::RoundLedger& lg) const {
+ItemResult run_certify(const Driver& d, WorkItem& item,
+                       congest::RoundLedger& lg) {
   ItemResult res;
-  res.input = item.u;
   res.depth_seen = item.depth;
   std::vector<VertexId>& comp = item.u;
-  const GraphView comp_live(*g, &removed, VertexSet(comp));
+  const GraphView comp_live(d.g, &d.removed, VertexSet(comp));
   if (comp_live.volume() == 0) {
     res.finals.push_back(std::move(comp));
     return res;
@@ -235,8 +46,8 @@ ItemResult Driver::run_certify(WorkItem& item, congest::RoundLedger& lg) const {
   ++res.sparse_cut_calls;
   const auto diameter = diameter_double_sweep(comp_live);
   const auto cut_res = sparsecut::nearly_most_balanced_sparse_cut(
-      comp_live, schedule.phi[0], prm.preset, item.rng, lg, diameter,
-      prm.thorough_partition);
+      comp_live, d.schedule.phi[0], d.prm.preset, item.rng, lg, diameter,
+      d.prm.thorough_partition);
 
   if (!cut_res.found()) {
     res.finals.push_back(std::move(comp));  // certified: Φ(G{U}) >= φ₀ (whp)
@@ -244,7 +55,7 @@ ItemResult Driver::run_certify(WorkItem& item, congest::RoundLedger& lg) const {
   }
 
   const std::uint64_t vol_u = comp_live.volume();
-  const auto in_cut = cut_res.cut.bitmap(g->num_vertices());
+  const auto in_cut = cut_res.cut.bitmap(d.g.num_vertices());
   comp_live.for_each_live_edge([&](EdgeId ambient, VertexId x, VertexId y) {
     if (in_cut[x] != in_cut[y]) {
       res.removals.emplace_back(ambient, RemoveReason::kSparseCut);
@@ -260,7 +71,7 @@ ItemResult Driver::run_certify(WorkItem& item, congest::RoundLedger& lg) const {
   if (side_c.size() == 1) {
     res.finals.push_back(std::move(side_c));
   } else if (!side_c.empty()) {
-    res.children.push_back(WorkItem{WorkItem::Kind::kCluster, std::move(side_c),
+    res.children.push_back(WorkItem{WorkItem::Kind::kLdd, std::move(side_c),
                                     item.depth + 1, 0, item.rng.fork(0)});
   }
   // Large side: trim (same depth) within budget, else back to clustering.
@@ -272,10 +83,30 @@ ItemResult Driver::run_certify(WorkItem& item, congest::RoundLedger& lg) const {
         trims_left
             ? WorkItem{WorkItem::Kind::kCertify, std::move(side_rest),
                        item.depth, item.trims + 1, item.rng.fork(1)}
-            : WorkItem{WorkItem::Kind::kCluster, std::move(side_rest),
+            : WorkItem{WorkItem::Kind::kLdd, std::move(side_rest),
                        item.depth + 1, 0, item.rng.fork(1)});
   }
   return res;
+}
+
+ItemResult run_item(const Driver& d, WorkItem& item,
+                    congest::RoundLedger& lg) {
+  switch (item.kind) {
+    case WorkItem::Kind::kLdd: {
+      // The depth guard costs the part its certificate, so it counts
+      // against phi_guarantee.
+      const bool guarded = d.depth_guarded(item);
+      ItemResult res = d.cluster(item, lg, WorkItem::Kind::kCertify);
+      if (guarded) ++res.guard_finalized;
+      return res;
+    }
+    case WorkItem::Kind::kCertify:
+      return run_certify(d, item, lg);
+    default:
+      break;
+  }
+  XD_CHECK_MSG(false, "unreachable work-item kind");
+  return {};
 }
 
 }  // namespace
@@ -284,51 +115,26 @@ DecompositionResult simple_parallel_decomposition(const Graph& g,
                                                   const DecompositionParams& prm,
                                                   Rng& rng,
                                                   congest::RoundLedger& ledger) {
-  XD_CHECK(g.num_vertices() >= 2);
-  DecompositionResult out;
-  out.backend = DecompositionBackend::kSimpleParallel;
-  out.schedule = derive_schedule(prm, g.num_vertices(),
-                                 std::max<std::size_t>(g.num_edges(), 1),
-                                 std::max<std::uint64_t>(g.volume(), 1));
-  out.removed_edge.assign(g.num_edges(), 0);
-
-  const std::uint64_t rounds_before = ledger.rounds();
-
-  Driver driver;
-  driver.g = &g;
-  driver.prm = prm;
-  driver.schedule = out.schedule;
-  driver.ledger = &ledger;
-  driver.removed.assign(g.num_edges(), 0);
-  driver.removal_budget = static_cast<std::uint64_t>(
+  // The εm budget guard lives at the barrier, not in the items: items race
+  // on host threads and cannot see a shared running total without breaking
+  // bit-identity, while the merge order is the same at every thread count,
+  // so "which item hit the ceiling" replays exactly.
+  const auto removal_budget = static_cast<std::uint64_t>(
       prm.epsilon * static_cast<double>(g.num_edges()));
-  driver.out = &out;
-
-  std::vector<VertexId> start;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.degree(v) == 0) {
-      driver.finals.push_back({v});
-    } else {
-      start.push_back(v);
-    }
-  }
-  // Same one-draw seeding as the nibble driver, so a caller alternating
-  // backends on one Rng still gets independent streams per call.
-  const Rng top_rng(rng());
-  if (!start.empty()) driver.run(std::move(start), top_rng);
-
-  out.removed_edge = driver.removed;
-  out.rounds = ledger.rounds() - rounds_before;
+  DecompositionResult out = decompose(
+      g, prm, rng, ledger,
+      {run_item,
+       [removal_budget](std::uint64_t removed_so_far, const ItemResult& res) {
+         return removed_so_far + res.removals.size() <= removal_budget;
+       }});
   // The certified floor: every non-guarded part ended on a sparse-cut miss
   // at φ₀, which the spectral verifier can confirm down to ~φ₀²/2 via
   // Cheeger; one guarded part drops the promise to the nibble schedule's
   // tiny φ_k floor (still honest -- guards trade quality, not validity).
-  const double phi0 = out.schedule.phi[0];
-  out.phi_guarantee = out.guard_finalized == 0
-                          ? kCheegerSlack * phi0 * phi0
-                          : out.schedule.phi_final();
-
-  detail::assemble_components(g, driver.removed, driver.finals, out);
+  if (out.guard_finalized == 0) {
+    const double phi0 = out.schedule.phi[0];
+    out.phi_guarantee = kCheegerSlack * phi0 * phi0;
+  }
   return out;
 }
 

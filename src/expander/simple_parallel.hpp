@@ -11,10 +11,10 @@
 /// Where the nibble driver (decomposition.cpp) runs the Chang–Saranurak
 /// two-phase machinery -- a φ₀..φ_k schedule, a Phase 2 level loop with
 /// Remove-3 rip-outs -- this backend keeps one conductance target φ₀ and
-/// three work-item kinds:
+/// three steps on the shared driver skeleton (driver.hpp):
 ///
-///   cluster   LDD the part (Remove-1 the inter-cluster edges), one
-///             certify child per surviving cluster;
+///   cluster   the skeleton's LDD clustering step (Remove-1 the
+///             inter-cluster edges), one certify child per cluster;
 ///   certify   one nearly-most-balanced sparse cut at φ₀.  No cut means
 ///             the cluster is a certified expander and becomes final.  A
 ///             cut is Remove-2'd: the sparse side re-clusters one level
@@ -27,12 +27,10 @@
 ///             as-is instead.  That makes the Theorem 1 cut budget
 ///             unconditional rather than a charging-argument promise.
 ///
-/// Items follow the exact determinism discipline of every driver in this
-/// repo: vertex-disjoint work, per-item seed-split Rng streams, effects
-/// deferred to an ItemResult merged at the epoch barrier in item-index
-/// order -- so the partition, overlay, and counters are bit-identical at
-/// every scheduler thread count, and cross-backend differential testing
-/// (cross_check.hpp) can pin both drivers against the same contract.
+/// The skeleton's determinism discipline makes the partition, overlay, and
+/// counters bit-identical at every scheduler thread count, and
+/// cross-backend differential testing (cross_check.hpp) pins both drivers
+/// against the same contract.
 
 #include "congest/ledger.hpp"
 #include "expander/decomposition.hpp"

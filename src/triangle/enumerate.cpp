@@ -64,6 +64,46 @@ void merge_triangles(std::vector<Triangle>& found, std::vector<Triangle>& batch)
   found.erase(std::unique(found.begin(), found.end()), found.end());
 }
 
+/// One cluster's share of a level: its sorted triangles and query count.
+struct ClusterOut {
+  std::vector<Triangle> tris;
+  std::uint64_t queries = 0;
+};
+
+/// A cluster's router plus the Network it runs on (simulated backends
+/// only); members destroy router-first.
+struct ClusterRouter {
+  std::unique_ptr<congest::Network> net;
+  std::unique_ptr<routing::Router> router;
+};
+
+/// The one router-construction site of Theorem 2.  A nonzero `charged_tau`
+/// forces the charged GKS model with that mixing time (tiny clusters pass
+/// 1, the E* fallback its diameter); otherwise prm.backend picks, and only
+/// the simulated backends draw crng() to seed their Network.
+ClusterRouter make_router(const Graph& cluster, const EnumParams& prm,
+                          std::uint32_t charged_tau, Rng& crng,
+                          congest::RoundLedger& lg) {
+  ClusterRouter r;
+  if (charged_tau != 0 || prm.backend == RouterBackend::kCharged) {
+    routing::HierarchicalParams hp;
+    hp.depth = prm.router_depth;
+    hp.tau_mix = charged_tau;
+    r.router = std::make_unique<routing::HierarchicalRouter>(cluster, lg, hp);
+    return r;
+  }
+  r.net = std::make_unique<congest::Network>(cluster, lg, crng());
+  if (prm.backend == RouterBackend::kTree) {
+    r.router = std::make_unique<routing::TreeRouter>(*r.net);
+  } else {
+    routing::SimulatedHierarchicalParams sp;
+    sp.depth = prm.router_depth;
+    r.router =
+        std::make_unique<routing::SimulatedHierarchicalRouter>(*r.net, sp);
+  }
+  return r;
+}
+
 }  // namespace
 
 expander::DecompositionParams decomposition_params(
@@ -132,6 +172,29 @@ CongestEnumResult enumerate_congest(
     }
 
     // --- 2+3. Per-cluster routing structure and enumeration. ---
+    // Every cluster, the E* fallback included, runs this one sequence:
+    // ambient->local ids in the worker thread's stamped arena (an O(1)
+    // epoch bump, not two O(n) vectors per cluster), one router, its
+    // preprocessing, the DLP join, and the query count.
+    const auto join_cluster = [&](const Graph& cluster,
+                                  const std::vector<VertexId>& ambient_members,
+                                  const std::vector<EdgeId>& edges,
+                                  std::uint32_t charged_tau, Rng& crng,
+                                  congest::RoundLedger& lg) {
+      auto& scratch = TriangleScratch::for_thread();
+      scratch.to_local.begin_epoch(g.num_vertices());
+      for (std::size_t i = 0; i < ambient_members.size(); ++i) {
+        scratch.to_local.put(ambient_members[i], static_cast<VertexId>(i));
+      }
+      ClusterRouter r = make_router(cluster, prm, charged_tau, crng, lg);
+      r.router->preprocess();
+      ClusterOut res;
+      res.tris = enumerate_cluster(g, edges, groups, p_global, *r.router,
+                                   ambient_members, scratch);
+      res.queries = r.router->queries();
+      return res;
+    };
+
     std::vector<std::vector<VertexId>> members(decomp->num_components);
     for (VertexId lv = 0; lv < level_graph.num_vertices(); ++lv) {
       members[decomp->component[lv]].push_back(lv);
@@ -170,23 +233,17 @@ CongestEnumResult enumerate_congest(
     for (std::uint32_t c = 0; c < decomp->num_components; ++c) {
       if (!cluster_edges[c].empty() && !members[c].empty()) todo.push_back(c);
     }
-    struct ClusterOut {
-      std::vector<Triangle> tris;
-      std::uint64_t queries = 0;
-    };
     std::vector<Rng> item_rngs;
     item_rngs.reserve(todo.size());
     for (const std::uint32_t c : todo) item_rngs.push_back(rng.fork(c));
 
     const auto run_cluster = [&](std::uint32_t c, Rng& crng,
                                  congest::RoundLedger& lg) {
-      ClusterOut res;
-
-      // Cluster slice as a zero-copy view over the level graph.  Every
-      // branch below hands the cluster to a router, and routers are the
-      // materialization boundary (they renumber densely), so the CSR is
-      // still built exactly once per cluster via materialize_induced();
-      // the view contributes the edge counts that pick the branch.
+      // Cluster slice as a zero-copy view over the level graph.  Routers
+      // are the materialization boundary (they renumber densely), so the
+      // CSR is still built exactly once per cluster via
+      // materialize_induced(); the view contributes the edge counts that
+      // pick the router.
       std::vector<VertexId> ambient_members;
       ambient_members.reserve(members[c].size());
       for (const VertexId lv : members[c]) {
@@ -195,73 +252,25 @@ CongestEnumResult enumerate_congest(
       const GraphView cluster_view(level_graph, nullptr,
                                    VertexSet(members[c]));
       const LiveSubgraph cluster_sub = cluster_view.materialize_induced();
-
-      // Membership and ambient->local ids live in the worker thread's
-      // stamped arena: an O(1) epoch bump replaces the seed's two O(n)
-      // vectors per cluster.
-      auto& scratch = TriangleScratch::for_thread();
-      scratch.to_local.begin_epoch(g.num_vertices());
-      for (std::size_t i = 0; i < ambient_members.size(); ++i) {
-        scratch.to_local.put(ambient_members[i], static_cast<VertexId>(i));
-      }
-
+      std::uint32_t charged_tau = 0;
       if (cluster_view.num_nonloop_edges() == 0 ||
           ambient_members.size() == 1) {
         // Single vertex or edgeless cluster: its E_i edges all touch one
         // vertex, which can join them locally (deg(v) messages over its
         // own edges -- absorbed into one query charge).
         lg.charge(1, "Triangle/tiny-cluster");
-        std::unique_ptr<routing::Router> no_router;
-        // Local join without routing.
-        routing::HierarchicalParams hp;
-        hp.depth = prm.router_depth;
-        hp.tau_mix = 1;
-        routing::HierarchicalRouter local(cluster_sub.graph, lg, hp);
-        local.preprocess();
-        res.tris = enumerate_cluster(g, cluster_edges[c], groups, p_global,
-                                     local, ambient_members, scratch);
-        res.queries = local.queries();
-      } else if (prm.backend == RouterBackend::kCharged) {
-        routing::HierarchicalParams hp;
-        hp.depth = prm.router_depth;
-        routing::HierarchicalRouter router(cluster_sub.graph, lg, hp);
-        router.preprocess();
-        res.tris = enumerate_cluster(g, cluster_edges[c], groups, p_global,
-                                     router, ambient_members, scratch);
-        res.queries = router.queries();
-      } else if (prm.backend == RouterBackend::kTree) {
-        congest::Network cluster_net(cluster_sub.graph, lg, crng());
-        routing::TreeRouter router(cluster_net);
-        router.preprocess();
-        res.tris = enumerate_cluster(g, cluster_edges[c], groups, p_global,
-                                     router, ambient_members, scratch);
-        res.queries = router.queries();
-      } else {
-        congest::Network cluster_net(cluster_sub.graph, lg, crng());
-        routing::SimulatedHierarchicalParams sp;
-        sp.depth = prm.router_depth;
-        routing::SimulatedHierarchicalRouter router(cluster_net, sp);
-        router.preprocess();
-        res.tris = enumerate_cluster(g, cluster_edges[c], groups, p_global,
-                                     router, ambient_members, scratch);
-        res.queries = router.queries();
+        charged_tau = 1;
       }
-      return res;
+      return join_cluster(cluster_sub.graph, ambient_members, cluster_edges[c],
+                          charged_tau, crng, lg);
     };
 
     std::vector<ClusterOut> cluster_out(todo.size());
-    if (prm.scheduler_threads >= 1) {
-      // Concurrent clusters share the clock: forked branches join by max.
-      const congest::EpochScheduler pool(prm.scheduler_threads);
-      pool.run_forked(ledger, todo.size(),
-                      [&](std::size_t i, congest::RoundLedger& lg) {
-                        cluster_out[i] = run_cluster(todo[i], item_rngs[i], lg);
-                      });
-    } else {
-      for (std::size_t i = 0; i < todo.size(); ++i) {
-        cluster_out[i] = run_cluster(todo[i], item_rngs[i], ledger);
-      }
-    }
+    congest::run_epoch(prm.scheduler_threads, ledger, todo.size(),
+                       [&](std::size_t i, congest::RoundLedger& lg) {
+                         cluster_out[i] =
+                             run_cluster(todo[i], item_rngs[i], lg);
+                       });
     // Each cluster's output is already sorted; one merge per level folds
     // them into the running list (no per-triangle std::set node churn).
     std::vector<Triangle> level_tris;
@@ -276,25 +285,15 @@ CongestEnumResult enumerate_congest(
     // --- 4. Recurse on E*. ---
     if (estar.size() >= current.size()) {
       // No shrink (pathological split): finish the remainder as one
-      // cluster to guarantee termination.
+      // charged cluster, with the remainder's diameter standing in for
+      // τ_mix, to guarantee termination.
       const EdgeSubgraph rest = subgraph_of_edges(g, estar);
-      auto& scratch = TriangleScratch::for_thread();
-      scratch.to_local.begin_epoch(g.num_vertices());
-      std::vector<VertexId> ambient_members;
-      ambient_members.reserve(rest.to_parent.size());
-      for (std::size_t i = 0; i < rest.to_parent.size(); ++i) {
-        scratch.to_local.put(rest.to_parent[i], static_cast<VertexId>(i));
-        ambient_members.push_back(rest.to_parent[i]);
-      }
-      routing::HierarchicalParams hp;
-      hp.depth = prm.router_depth;
-      hp.tau_mix = std::max<std::uint32_t>(diameter_double_sweep(rest.graph), 1);
-      routing::HierarchicalRouter router(rest.graph, ledger, hp);
-      router.preprocess();
-      auto tris = enumerate_cluster(g, estar, groups, p_global, router,
-                                    ambient_members, scratch);
-      merge_triangles(found, tris);
-      out.router_queries += router.queries();
+      ClusterOut tail = join_cluster(
+          rest.graph, rest.to_parent, estar,
+          std::max<std::uint32_t>(diameter_double_sweep(rest.graph), 1), rng,
+          ledger);
+      merge_triangles(found, tail.tris);
+      out.router_queries += tail.queries;
       current.clear();
       break;
     }

@@ -210,6 +210,38 @@ TEST(Golden, SimpleParallelBackendPins) {
   }
 }
 
+TEST(Golden, SchedulerDumbbellPins) {
+  // E3d (bench_expander): the dumbbell is the cleanest sum-vs-max
+  // workload -- one bridge cut, then two equal expander halves that a
+  // sequential simulation charges back-to-back while the epoch scheduler
+  // runs them on one clock, so scheduler rounds land near half the
+  // sequential total.
+  Rng master(90210);
+  Rng grng = master.fork(41);
+  const Graph g = gen::dumbbell_expanders(240, 240, 4, 2, grng);
+  const auto run = [&](int scheduler_threads) {
+    expander::DecompositionParams prm;
+    prm.epsilon = 0.25;
+    prm.k = 2;
+    prm.phi0_override = 0.02;
+    prm.scheduler_threads = scheduler_threads;
+    Rng rng(4242);
+    congest::RoundLedger ledger;
+    return expander::expander_decomposition(g, prm, rng, ledger);
+  };
+
+  const auto seq = run(0);
+  EXPECT_EQ(seq.rounds, 59048u);
+  EXPECT_EQ(seq.epochs, 4u);
+  for (const int threads : {1, 2, 8}) {
+    const auto sched = run(threads);
+    EXPECT_EQ(sched.component, seq.component) << "threads=" << threads;
+    EXPECT_EQ(sched.removed_edge, seq.removed_edge) << "threads=" << threads;
+    EXPECT_EQ(sched.rounds, 28688u) << "threads=" << threads;
+    EXPECT_EQ(sched.epochs, 4u) << "threads=" << threads;
+  }
+}
+
 TEST(Golden, SchedulerTriangleEnumerationPins) {
   // Same graph/seed as TriangleEnumerationMatchesSeedKernel, run under the
   // cluster scheduler at every pinned thread count: identical triangles,

@@ -296,19 +296,33 @@ TEST(GraphViewZeroCopy, DecompositionViewOnlyPathBuildsNoGraph) {
 // And the counter does move when materialization is genuinely required
 // (paper preset always runs the LDD through the CONGEST kernel).
 TEST(GraphViewZeroCopy, PaperModeStillMaterializesAtNetworkBoundary) {
+  // Paper mode skips the diameter probe, so both backends run their
+  // clustering step through the LDD's Network on a materialized G{U} --
+  // the only test input that drives the simple-parallel LDD branch.  The
+  // pins hold the two backends to the same partition and round count.
   Rng grng(99);
   const Graph g = gen::gnp(40, 0.2, grng);
 
-  expander::DecompositionParams prm;
-  prm.epsilon = 0.25;
-  prm.k = 2;
-  prm.preset = expander::Preset::kPaper;
-  Rng rng(7);
-  congest::RoundLedger ledger;
+  for (const auto backend : {expander::DecompositionBackend::kNibble,
+                             expander::DecompositionBackend::kSimpleParallel}) {
+    expander::DecompositionParams prm;
+    prm.epsilon = 0.25;
+    prm.k = 2;
+    prm.preset = expander::Preset::kPaper;
+    prm.backend = backend;
+    Rng rng(7);
+    congest::RoundLedger ledger;
 
-  const std::uint64_t builds_before = GraphBuilder::total_builds();
-  (void)expander::expander_decomposition(g, prm, rng, ledger);
-  EXPECT_GT(GraphBuilder::total_builds(), builds_before);
+    const std::uint64_t builds_before = GraphBuilder::total_builds();
+    const auto res = expander::expander_decomposition(g, prm, rng, ledger);
+    EXPECT_GT(GraphBuilder::total_builds(), builds_before)
+        << expander::to_string(backend);
+    EXPECT_EQ(ledger.rounds_for("LDD/mpx"), 92960u)
+        << expander::to_string(backend);
+    EXPECT_EQ(expander::partition_fingerprint(res), 10833787877845357519ull)
+        << expander::to_string(backend);
+    EXPECT_EQ(res.rounds, 302454748960ull) << expander::to_string(backend);
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -245,6 +246,37 @@ TEST(EpochScheduler, RunForkedJoinsMaxAndSum) {
   EXPECT_EQ(root.forked(), 0u);
   EXPECT_EQ(root.rounds(), 30u);    // max(10, 20, 30)
   EXPECT_EQ(root.messages(), 6u);   // 1 + 2 + 3
+}
+
+TEST(EpochScheduler, RunEpochSumsSequentiallyAndTakesMaxForked) {
+  // 0 threads: items run in index order on the calling thread against
+  // `root` itself (no fork), so rounds SUM.
+  congest::RoundLedger root;
+  std::vector<std::size_t> order;
+  congest::run_epoch(0, root, 3, [&](std::size_t i, congest::RoundLedger& lg) {
+    EXPECT_EQ(&lg, &root);
+    EXPECT_EQ(root.forked(), 0u);
+    order.push_back(i);
+    lg.charge(10 * (i + 1), "work");
+    lg.count_messages(i + 1);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(root.rounds(), 60u);   // 10 + 20 + 30
+  EXPECT_EQ(root.messages(), 6u);  // 1 + 2 + 3
+
+  // >= 1 threads: forked branches joined at the barrier, so rounds MAX.
+  for (const int threads : {1, 4}) {
+    congest::RoundLedger forked_root;
+    congest::run_epoch(threads, forked_root, 3,
+                       [&](std::size_t i, congest::RoundLedger& lg) {
+                         EXPECT_NE(&lg, &forked_root);
+                         lg.charge(10 * (i + 1), "work");
+                         lg.count_messages(i + 1);
+                       });
+    EXPECT_EQ(forked_root.forked(), 0u) << "threads=" << threads;
+    EXPECT_EQ(forked_root.rounds(), 30u) << "threads=" << threads;
+    EXPECT_EQ(forked_root.messages(), 6u) << "threads=" << threads;
+  }
 }
 
 TEST(EpochScheduler, RunForkedJoinsEvenWhenAnItemThrows) {
