@@ -32,10 +32,9 @@ int main(int argc, char** argv) {
   {
     congest::RoundLedger ledger;
     congest::Network net(g, ledger, seed);
-    Rng r(seed + 1);
     ldd::LddParams prm;
     prm.beta = 0.4;
-    const auto res = ldd::low_diameter_decomposition(net, prm, r);
+    const auto res = ldd::low_diameter_decomposition(net, prm);
     std::cout << "[Thm 4]  LDD(beta=0.4): " << res.num_components
               << " component(s), " << res.num_cut_edges << " cut edges "
               << "(budget " << static_cast<std::uint64_t>(0.4 * g.num_edges())

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "congest/network.hpp"
 #include "congest/scheduler.hpp"
@@ -67,33 +66,26 @@ ItemResult Driver::cluster(WorkItem& item, congest::RoundLedger& lg,
   // Practical preset skips the call when the part's measured diameter
   // already meets the O(log²n/β²) bound LDD guarantees -- the LDD is then
   // a no-op by its own contract (it may legally cut nothing), and the
-  // 2 ln n / β MPX epochs are saved.  Paper mode always runs it, so only
-  // the practical probe pays for the zero-copy overlay (whose construction
-  // scan nothing in the materialized path would read).
+  // 2 ln n / β MPX epochs are saved.  Paper mode always runs it.
   const double logn = std::log(std::max<double>(g.num_vertices(), 2));
   const double ldd_diameter_bound =
       150.0 * logn * logn / (schedule.beta * schedule.beta);
-  std::optional<GraphView> live;
-  if (prm.preset != Preset::kPaper) {
-    live.emplace(g, &removed, VertexSet(u));
-  }
+  const GraphView live(g, &removed, VertexSet(u));
   const bool run_ldd_call =
-      !live ||
-      static_cast<double>(diameter_double_sweep(*live)) > ldd_diameter_bound;
+      prm.preset == Preset::kPaper ||
+      static_cast<double>(diameter_double_sweep(live)) > ldd_diameter_bound;
 
   std::vector<std::vector<VertexId>> comps;
   if (run_ldd_call) {
     // The CONGEST kernel wants a dense renumbering (per-vertex inbox
     // arrays, slot-keyed congestion): the one place Phase 1 still pays for
     // a materialized G{U}.
-    const LiveSubgraph mat =
-        live ? live->materialize() : live_subgraph(g, removed, VertexSet(u));
+    const LiveSubgraph mat = live.materialize();
     ldd::LddParams ldd_prm;
     ldd_prm.beta = schedule.beta;
     ldd_prm.K = prm.ldd_K;
     congest::Network net(mat.graph, lg, item.rng());
-    const ldd::LddResult ldd_res =
-        ldd::low_diameter_decomposition(net, ldd_prm, item.rng);
+    const ldd::LddResult ldd_res = ldd::low_diameter_decomposition(net, ldd_prm);
     for (EdgeId e = 0; e < mat.graph.num_edges(); ++e) {
       if (ldd_res.cut_edge[e]) {
         const EdgeId parent = mat.edge_to_parent[e];
@@ -106,9 +98,9 @@ ItemResult Driver::cluster(WorkItem& item, congest::RoundLedger& lg,
       comps[ldd_res.component[lv]].push_back(mat.to_parent[lv]);
     }
   } else {
-    auto [comp, count] = connected_components(*live);
+    auto [comp, count] = connected_components(live);
     comps.resize(count);
-    for (const VertexId v : live->vertices()) {
+    for (const VertexId v : live.vertices()) {
       comps[comp[v]].push_back(v);
     }
   }

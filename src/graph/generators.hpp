@@ -1,14 +1,13 @@
 #pragma once
 
 /// \file generators.hpp
-/// Graph families used throughout the tests and benches.  Each family maps
-/// onto a workload of the experiment tables in bench/ (E1..E5):
+/// Graph families used throughout the tests and benches:
 ///  * G(n, p) with p = 1/2 is the triangle-enumeration lower-bound family;
 ///  * random regular graphs are the expanders (conductance Ω(1) w.h.p.);
 ///  * dumbbells / planted partitions provide cuts of known conductance and
-///    balance for the nearly-most-balanced sparse cut experiments;
+///    balance for the nearly-most-balanced sparse cut tests;
 ///  * rings, tori, hypercubes, trees provide known diameters/mixing times
-///    for the LDD and mixing experiments.
+///    for the LDD and mixing tests.
 
 #include <cstdint>
 

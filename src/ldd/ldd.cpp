@@ -11,7 +11,7 @@
 namespace xd::ldd {
 
 LddResult low_diameter_decomposition(congest::Network& net,
-                                     const LddParams& prm, Rng& rng) {
+                                     const LddParams& prm) {
   const Graph& g = net.graph();
   const std::size_t n = g.num_vertices();
   LddResult out;
@@ -22,8 +22,7 @@ LddResult low_diameter_decomposition(congest::Network& net,
   const double beta_run = prm.beta / 3.0;
 
   if (prm.use_guard) {
-    out.guard = build_vd_vs(g, beta_run, prm.K, prm.sampled_classifier, rng,
-                            net.ledger());
+    out.guard = build_vd_vs(g, beta_run, prm.K, net.ledger());
   } else {
     out.guard.in_vd.assign(n, 0);
   }

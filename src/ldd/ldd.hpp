@@ -16,7 +16,6 @@
 #include "graph/graph.hpp"
 #include "ldd/mpx.hpp"
 #include "ldd/vdvs.hpp"
-#include "util/rng.hpp"
 
 namespace xd::ldd {
 
@@ -30,8 +29,6 @@ struct LddParams {
   /// Ablation switch: false = plain MPX (cut every inter-cluster edge, only
   /// an in-expectation bound); true = full Theorem 4 pipeline.
   bool use_guard = true;
-  /// Classifier for V'_D/V'_S: see build_vd_vs.
-  bool sampled_classifier = false;
 };
 
 /// Output of LowDiamDecomposition.
@@ -50,10 +47,10 @@ struct LddResult {
 
 /// Runs the full decomposition on net's graph, charging net's ledger.
 LddResult low_diameter_decomposition(congest::Network& net,
-                                     const LddParams& prm, Rng& rng);
+                                     const LddParams& prm);
 
 /// Largest double-sweep diameter over the decomposition's components
-/// (diagnostic used by tests and benches against the O(log²n/β²) bound).
+/// (diagnostic the tests hold against the O(log²n/β²) bound).
 std::uint32_t max_component_diameter(const Graph& g, const LddResult& result);
 
 }  // namespace xd::ldd

@@ -70,7 +70,6 @@ std::vector<std::uint32_t> components_of_mask(const Graph& g,
 }  // namespace
 
 VdVsPartition build_vd_vs(const Graph& g, double beta, double K,
-                          bool sampled_classifier, Rng& rng,
                           congest::RoundLedger& ledger) {
   XD_CHECK(beta > 0 && beta < 1 && K > 0);
   const std::size_t n = g.num_vertices();
@@ -95,29 +94,17 @@ VdVsPartition build_vd_vs(const Graph& g, double beta, double K,
     comp_edges[comp_all[g.edge(e).first]] += 1;
   }
 
-  if (sampled_classifier) {
-    // Faithful Lemma 16 path: (1+f)-estimates of |E(N^a(v))| with f chosen
-    // well inside the 2x gap between the V'_D and V'_S thresholds.
-    const double f = 0.25;
-    const auto est = ball_edge_estimate(g, out.a, f, K, rng, ledger);
-    for (VertexId v = 0; v < n; ++v) {
-      const double threshold =
-          static_cast<double>(comp_edges[comp_all[v]]) / (1.5 * out.b);
-      seed[v] = est[v] > threshold ? 1 : 0;
-    }
-  } else {
-    for (VertexId v = 0; v < n; ++v) {
-      const double threshold =
-          static_cast<double>(comp_edges[comp_all[v]]) / (1.5 * out.b);
-      const auto cap = static_cast<std::uint64_t>(std::ceil(threshold)) + 1;
-      const std::uint64_t count = ball_edge_count(g, v, out.a, cap);
-      seed[v] = static_cast<double>(count) > threshold ? 1 : 0;
-    }
-    // Charged as the paper's auxiliary-partition cost O(ab log² n).
-    ledger.charge(static_cast<std::uint64_t>(out.a) * out.b *
-                      static_cast<std::uint64_t>(std::ceil(logn * logn)),
-                  "LDD/classify");
+  for (VertexId v = 0; v < n; ++v) {
+    const double threshold =
+        static_cast<double>(comp_edges[comp_all[v]]) / (1.5 * out.b);
+    const auto cap = static_cast<std::uint64_t>(std::ceil(threshold)) + 1;
+    const std::uint64_t count = ball_edge_count(g, v, out.a, cap);
+    seed[v] = static_cast<double>(count) > threshold ? 1 : 0;
   }
+  // Charged as the paper's auxiliary-partition cost O(ab log² n).
+  ledger.charge(static_cast<std::uint64_t>(out.a) * out.b *
+                    static_cast<std::uint64_t>(std::ceil(logn * logn)),
+                "LDD/classify");
   for (VertexId v = 0; v < n; ++v) out.seed_vertices += seed[v];
 
   // --- W_0 = {u : dist(u, V'_D) <= a}. ---

@@ -16,7 +16,6 @@
 
 #include "congest/ledger.hpp"
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace xd::ldd {
 
@@ -30,14 +29,11 @@ struct VdVsPartition {
   std::uint64_t seed_vertices = 0;
 };
 
-/// Builds the partition.
-///
-/// \param sampled_classifier  true: classify via the Lemma 15/16 sampled
-///        estimators (the paper's distributed path; costs more); false:
-///        classify via exact capped ball counts against |E|/b thresholds
-///        (same decisions w.h.p., cheaper -- the default at bench scale).
+/// Builds the partition.  V'_D/V'_S is classified from exact capped ball
+/// counts against |E|/b thresholds, charged as the paper's O(ab log² n)
+/// auxiliary-partition cost.  (Lemma 16's sampled estimator makes the same
+/// decisions w.h.p.; it lives on as `ball_edge_estimate`.)
 VdVsPartition build_vd_vs(const Graph& g, double beta, double K,
-                          bool sampled_classifier, Rng& rng,
                           congest::RoundLedger& ledger);
 
 }  // namespace xd::ldd

@@ -21,7 +21,7 @@
 /// `practical()` -- the same functional shapes with small leading constants
 /// so the stack runs at bench scale.  The paper itself stresses that its
 /// polylog factors are enormous; practical mode is how every experiment
-/// executes, and the bench tables report shapes, not absolute constants.
+/// executes, and the tests assert the lemmas' shapes, not absolute constants.
 
 #include <cstdint>
 

@@ -4,8 +4,8 @@
 /// Centralized spectral partitioning oracle: sweep over an approximate
 /// second eigenvector of the lazy walk.  By Cheeger's inequality the best
 /// sweep prefix has conductance <= sqrt(2 * gap), so this provides a
-/// certified-quality reference cut for tests and for the E2/E3 benches'
-/// "centralized baseline" columns.  The distributed algorithms never use it.
+/// certified-quality reference cut for the tests, the decomposition
+/// verifier and the examples.  The distributed algorithms never use it.
 
 #include <optional>
 

@@ -1,62 +1,10 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
 
 namespace xd {
-
-void Summary::add(double x) {
-  values_.push_back(x);
-  sorted_ = false;
-}
-
-double Summary::mean() const {
-  XD_CHECK(!values_.empty());
-  double s = 0;
-  for (double v : values_) s += v;
-  return s / static_cast<double>(values_.size());
-}
-
-double Summary::sum() const {
-  double s = 0;
-  for (double v : values_) s += v;
-  return s;
-}
-
-double Summary::stddev() const {
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0;
-  for (double v : values_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values_.size() - 1));
-}
-
-double Summary::min() const {
-  XD_CHECK(!values_.empty());
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double Summary::max() const {
-  XD_CHECK(!values_.empty());
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double Summary::quantile(double q) const {
-  XD_CHECK(!values_.empty());
-  XD_CHECK(q >= 0.0 && q <= 1.0);
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(values_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values_[lo] * (1.0 - frac) + values_[hi] * frac;
-}
 
 void LogLogFit::add(double x, double y) {
   XD_CHECK(x > 0 && y > 0);
@@ -88,39 +36,6 @@ double LogLogFit::intercept() const {
     sy += ys_[i];
   }
   return (sy - slope() * sx) / n;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  XD_CHECK(hi > lo);
-  XD_CHECK(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / w);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(i);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(counts_[i] * width / peak);
-    os << "[" << bucket_lo(i) << ", " << bucket_lo(i + 1) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace xd

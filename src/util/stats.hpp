@@ -1,38 +1,12 @@
 #pragma once
 
 /// \file stats.hpp
-/// Small statistics helpers used by the benchmark harnesses and the
-/// property tests (tail bounds, summaries over repeated trials).
+/// Power-law fitting for the benches' round-complexity shapes.
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace xd {
-
-/// One-pass summary of a sample: count / mean / stddev / min / max plus
-/// retained values for exact quantiles.
-class Summary {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-  [[nodiscard]] double mean() const;
-  /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 points.
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  /// Exact empirical quantile, q in [0,1]; linear interpolation between
-  /// order statistics. Requires a non-empty sample.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-  [[nodiscard]] double sum() const;
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = true;
-};
 
 /// Least-squares fit of log(y) = a + s * log(x); `slope()` estimates the
 /// polynomial exponent s.  This is how the benches verify round-complexity
@@ -47,27 +21,6 @@ class LogLogFit {
  private:
   std::vector<double> xs_;
   std::vector<double> ys_;
-};
-
-/// Histogram with fixed-width buckets over [lo, hi); out-of-range samples
-/// clamp to the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  /// Multi-line ASCII rendering (for bench output).
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace xd

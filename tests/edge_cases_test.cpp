@@ -111,10 +111,9 @@ TEST(EdgeCases, LddOnDisconnectedGraph) {
   const Graph g = b.build();
   congest::RoundLedger ledger;
   congest::Network net(g, ledger, 7);
-  Rng rng(7);
   ldd::LddParams prm;
   prm.beta = 0.5;
-  const auto res = ldd::low_diameter_decomposition(net, prm, rng);
+  const auto res = ldd::low_diameter_decomposition(net, prm);
   // Components never merge across connectivity.
   EXPECT_GE(res.num_components, 3u);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

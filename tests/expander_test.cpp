@@ -9,6 +9,7 @@
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "graph/subgraph.hpp"
+#include "spectral/mixing.hpp"
 #include "util/check.hpp"
 
 namespace xd::expander {
@@ -142,6 +143,35 @@ TEST(Decomposition, PlantedPartitionRecoversBlocks) {
     }
   }
   EXPECT_LT(cross_same, cross_total / 2);
+}
+
+TEST(Decomposition, ComponentsMixInPolylogTime) {
+  // Theorem 2's precondition on Theorem 1's output: every component mixes
+  // in polylog time.  Each component of >= 8 vertices on a 4-block planted
+  // partition has spectral mixing estimate <= log₂² n / φ₀.
+  Rng rng = Rng(777).fork(3);
+  const Graph g = gen::planted_partition(160, 4, 0.5, 0.005, rng);
+  DecompositionParams prm;
+  prm.epsilon = 0.25;
+  prm.k = 2;
+  prm.phi0_override = 0.05;
+  congest::RoundLedger ledger;
+  const auto res = expander_decomposition(g, prm, rng, ledger);
+  std::vector<std::vector<VertexId>> members(res.num_components);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    members[res.component[v]].push_back(v);
+  }
+  const double log2n = std::log2(static_cast<double>(g.num_vertices()));
+  std::size_t checked = 0;
+  for (const auto& ids : members) {
+    if (ids.size() < 8) continue;
+    ++checked;
+    const auto sub = live_subgraph(g, res.removed_edge, VertexSet(ids));
+    EXPECT_LE(static_cast<double>(spectral::mixing_time_estimate(sub.graph)),
+              log2n * log2n / prm.phi0_override)
+        << "component of " << ids.size() << " vertices";
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(Decomposition, RemoveBudgetsTracked) {

@@ -40,8 +40,7 @@ TEST(Golden, LowDiameterDecompositionMatchesSeedKernel) {
   congest::RoundLedger ledger;
   congest::Network net(g, ledger, 13);
   ldd::LddParams prm;
-  Rng lrng(5);
-  const auto r = ldd::low_diameter_decomposition(net, prm, lrng);
+  const auto r = ldd::low_diameter_decomposition(net, prm);
   std::uint64_t h = 0;
   for (auto x : r.component) h = mix(h, x);
   h = mix(h, r.num_cut_edges);

@@ -77,21 +77,30 @@ TEST(Mpx, ClusterRadiusBounded) {
 }
 
 TEST(Mpx, Lemma12CutProbability) {
-  // Average cut fraction over seeds should be within the 2 beta bound
-  // (it is usually well under).
-  Rng rng(4);
-  const Graph g = gen::random_regular(300, 4, rng);
-  const double beta = 0.15;
-  double total_fraction = 0;
-  const int trials = 10;
-  for (int s = 0; s < trials; ++s) {
-    RoundLedger ledger;
-    Network net(g, ledger, 100 + s);
-    const Clustering c = mpx_clustering(net, beta, "mpx");
-    total_fraction += static_cast<double>(c.inter_cluster_edges(g)) /
-                      static_cast<double>(g.num_edges());
+  // Lemma 12 bounds each edge's cut probability by 2β, so the mean cut
+  // fraction over seeds must stay within 2β.  A single seed may exceed it
+  // (0.286 at β = 0.1 on regular(1500,4)), so only the mean is asserted.
+  const auto mean_cut_fraction = [](const Graph& g, double beta, int trials,
+                                    std::uint64_t seed0) {
+    double total_fraction = 0;
+    for (int s = 0; s < trials; ++s) {
+      RoundLedger ledger;
+      Network net(g, ledger, seed0 + s);
+      const Clustering c = mpx_clustering(net, beta, "mpx");
+      total_fraction += static_cast<double>(c.inter_cluster_edges(g)) /
+                        static_cast<double>(g.num_edges());
+    }
+    return total_fraction / trials;
+  };
+  Rng r300(4);
+  const Graph g300 = gen::random_regular(300, 4, r300);
+  EXPECT_LE(mean_cut_fraction(g300, 0.15, 10, 100), 2.0 * 0.15);
+  Rng r1500 = Rng(2026).fork(5);
+  const Graph g1500 = gen::random_regular(1500, 4, r1500);
+  for (const double beta : {0.1, 0.2, 0.4}) {
+    EXPECT_LE(mean_cut_fraction(g1500, beta, 20, 1000), 2.0 * beta)
+        << "beta=" << beta;
   }
-  EXPECT_LE(total_fraction / trials, 2.0 * beta);
 }
 
 TEST(BallEdgeCount, MatchesBruteForce) {
@@ -164,7 +173,7 @@ TEST(VdVs, LowDiameterGraphBecomesAllVd) {
   Rng rng(8);
   const Graph g = gen::random_regular(100, 6, rng);
   congest::RoundLedger ledger;
-  const auto part = build_vd_vs(g, 0.3, 2.0, /*sampled=*/false, rng, ledger);
+  const auto part = build_vd_vs(g, 0.3, 2.0, ledger);
   std::size_t vd = 0;
   for (char c : part.in_vd) vd += c;
   EXPECT_EQ(vd, g.num_vertices());
@@ -173,10 +182,9 @@ TEST(VdVs, LowDiameterGraphBecomesAllVd) {
 TEST(VdVs, CycleIsAllVs) {
   // On a long cycle every radius-a ball has only O(a) = O(|E|/b) edges
   // when n >> a*b, so no vertex seeds V_D.
-  Rng rng(9);
   const Graph g = gen::cycle(3000);
   congest::RoundLedger ledger;
-  const auto part = build_vd_vs(g, 0.9, 1.0, /*sampled=*/false, rng, ledger);
+  const auto part = build_vd_vs(g, 0.9, 1.0, ledger);
   std::size_t vd = 0;
   for (char c : part.in_vd) vd += c;
   EXPECT_EQ(vd, 0u);
@@ -186,7 +194,6 @@ TEST(VdVs, CycleIsAllVs) {
 TEST(VdVs, ComponentsFarApart) {
   // Two dense cliques joined by a very long path: each clique seeds V_D;
   // after growth, distinct V_D components must be > a apart.
-  Rng rng(10);
   GraphBuilder b(220);
   for (VertexId i = 0; i < 10; ++i) {
     for (VertexId j = i + 1; j < 10; ++j) {
@@ -197,7 +204,7 @@ TEST(VdVs, ComponentsFarApart) {
   for (VertexId v = 9; v < 210; ++v) b.add_edge(v, v + 1);
   const Graph g = b.build();
   congest::RoundLedger ledger;
-  const auto part = build_vd_vs(g, 0.9, 1.0, /*sampled=*/false, rng, ledger);
+  const auto part = build_vd_vs(g, 0.9, 1.0, ledger);
 
   // Collect V_D components and check pairwise distance > a.
   std::vector<char> mask = part.in_vd;
@@ -219,6 +226,17 @@ TEST(VdVs, ComponentsFarApart) {
   }
 }
 
+// Theorem 4 on one run: at most β|E| cut edges, and every component's
+// diameter within O(log² n / β²) at the explicit constant 150, which
+// absorbs the internal β/3 (16 * 9 = 144, rounded up).
+void expect_theorem4(const Graph& g, double beta, const LddResult& res) {
+  const double logn = std::log(static_cast<double>(g.num_vertices()));
+  EXPECT_LE(max_component_diameter(g, res),
+            150.0 * logn * logn / (beta * beta));
+  EXPECT_LE(res.num_cut_edges,
+            static_cast<std::uint64_t>(beta * g.num_edges()));
+}
+
 class LddTheorem4 : public ::testing::TestWithParam<int> {};
 
 TEST_P(LddTheorem4, GuaranteesOnCycle) {
@@ -229,20 +247,11 @@ TEST_P(LddTheorem4, GuaranteesOnCycle) {
   const Graph g = gen::cycle(20000);
   RoundLedger ledger;
   Network net(g, ledger, static_cast<std::uint64_t>(seed));
-  Rng rng(seed);
   LddParams prm;
   prm.beta = 0.9;
   prm.K = 1.0;
-  const LddResult res = low_diameter_decomposition(net, prm, rng);
-
-  const double logn = std::log(20000.0);
-  // Diameter bound O(log² n / β²): explicit constant absorbing the
-  // internal β/3 (16 * 9 = 144, rounded up).
-  EXPECT_LE(max_component_diameter(g, res),
-            150.0 * logn * logn / (prm.beta * prm.beta));
-  // Theorem 4 cut bound: β |E| w.h.p.
-  EXPECT_LE(res.num_cut_edges,
-            static_cast<std::uint64_t>(prm.beta * g.num_edges()));
+  const LddResult res = low_diameter_decomposition(net, prm);
+  expect_theorem4(g, prm.beta, res);
   EXPECT_GT(res.num_components, 1u);
   // Every vertex sparse: the guard never seeds V_D at this scale.
   EXPECT_EQ(res.guard.seed_vertices, 0u);
@@ -253,15 +262,34 @@ TEST_P(LddTheorem4, GuaranteesOnTorus) {
   const Graph g = gen::grid(40, 40, /*wrap=*/true);
   RoundLedger ledger;
   Network net(g, ledger, static_cast<std::uint64_t>(seed) + 50);
-  Rng rng(seed + 50);
   LddParams prm;
   prm.beta = 0.3;
-  const LddResult res = low_diameter_decomposition(net, prm, rng);
-  const double logn = std::log(1600.0);
-  EXPECT_LE(max_component_diameter(g, res),
-            150.0 * logn * logn / (prm.beta * prm.beta));
-  EXPECT_LE(res.num_cut_edges,
-            static_cast<std::uint64_t>(prm.beta * g.num_edges()));
+  expect_theorem4(g, prm.beta, low_diameter_decomposition(net, prm));
+}
+
+TEST_P(LddTheorem4, GuaranteesAcrossFamiliesAndBeta) {
+  // An expander, a chain of cliques (diameter ~300), a complete binary
+  // tree and a 64x64 torus, each at three β with K = 1.  At these sizes
+  // every radius-a ball holds the whole graph, so the guard marks all of
+  // V dense, keeps each family whole, and the diameter bound applies to
+  // the graph itself.
+  const int seed = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) + 2026);
+  const std::vector<Graph> families = {
+      gen::random_regular(2000, 6, rng), gen::clique_chain(150, 8),
+      gen::binary_tree(12), gen::grid(64, 64, /*wrap=*/true)};
+  for (const Graph& g : families) {
+    for (const double beta : {0.3, 0.6, 0.9}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << g.num_vertices() << " beta=" << beta);
+      RoundLedger ledger;
+      Network net(g, ledger, static_cast<std::uint64_t>(seed) + 11);
+      LddParams prm;
+      prm.beta = beta;
+      prm.K = 1.0;
+      expect_theorem4(g, beta, low_diameter_decomposition(net, prm));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LddTheorem4, ::testing::Values(1, 2, 3, 4, 5));
@@ -276,19 +304,18 @@ TEST(Ldd, ExpanderStaysWhole) {
   Network net(g, ledger, 13);
   LddParams prm;
   prm.beta = 0.2;
-  const LddResult res = low_diameter_decomposition(net, prm, rng);
+  const LddResult res = low_diameter_decomposition(net, prm);
   EXPECT_EQ(res.num_cut_edges, 0u);
   EXPECT_EQ(res.num_components, 1u);
 }
 
 TEST(Ldd, ComponentIdsArePartition) {
-  Rng rng(12);
   const Graph g = gen::clique_chain(12, 8);
   RoundLedger ledger;
   Network net(g, ledger, 17);
   LddParams prm;
   prm.beta = 0.35;
-  const LddResult res = low_diameter_decomposition(net, prm, rng);
+  const LddResult res = low_diameter_decomposition(net, prm);
   ASSERT_EQ(res.component.size(), g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_LT(res.component[v], res.num_components);
@@ -307,20 +334,22 @@ TEST(Ldd, ComponentIdsArePartition) {
 }
 
 TEST(Ldd, GuardAblationCutsMore) {
-  // Plain MPX cuts all inter-cluster edges; the guard uncuts V_D-V_D ones.
-  Rng rng(13);
-  const Graph g = gen::clique_chain(20, 10);
-  LddParams with_guard;
-  with_guard.beta = 0.3;
-  LddParams no_guard = with_guard;
-  no_guard.use_guard = false;
+  // Plain MPX cuts all inter-cluster edges; the guard uncuts V_D-V_D ones,
+  // so on the same MPX run (same network seed) it never cuts more.
+  for (const auto& [g, beta] : {std::pair{gen::clique_chain(20, 10), 0.3},
+                                std::pair{gen::clique_chain(150, 8), 0.5}}) {
+    LddParams with_guard;
+    with_guard.beta = beta;
+    LddParams no_guard = with_guard;
+    no_guard.use_guard = false;
 
-  RoundLedger l1, l2;
-  Network n1(g, l1, 21), n2(g, l2, 21);  // same seed -> same MPX run
-  Rng r1(13), r2(13);
-  const auto res_guard = low_diameter_decomposition(n1, with_guard, r1);
-  const auto res_plain = low_diameter_decomposition(n2, no_guard, r2);
-  EXPECT_LE(res_guard.num_cut_edges, res_plain.num_cut_edges);
+    RoundLedger l1, l2;
+    Network n1(g, l1, 21), n2(g, l2, 21);
+    const auto res_guard = low_diameter_decomposition(n1, with_guard);
+    const auto res_plain = low_diameter_decomposition(n2, no_guard);
+    EXPECT_LE(res_guard.num_cut_edges, res_plain.num_cut_edges)
+        << "n=" << g.num_vertices() << " beta=" << beta;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/generators.hpp"
@@ -110,6 +111,28 @@ TEST_F(NibbleOnDumbbell, TouchedCoversCut) {
   EXPECT_GT(res.sweep_candidates, 0u);
 }
 
+TEST(Nibble, Lemma3TouchedVolumeBound) {
+  // Lemma 3: each step of the ε_b-truncated walk keeps only vertices with
+  // ρ(v) >= 2ε_b, a set of volume <= 1/(2ε_b), so the t₀+1 steps of
+  // ApproximateNibble at scale b touch volume <= (t₀+1)/(2ε_b).
+  const Rng master(808);
+  Rng r = master.fork(1);
+  const Graph g = gen::dumbbell_expanders(150, 150, 4, 2, r);
+  const auto prm = NibbleParams::practical(0.05, g.num_edges(), g.volume());
+  for (int b = 1; b <= std::min(prm.ell, 8); ++b) {
+    const double bound = (prm.t0 + 1.0) / (2.0 * prm.eps_b(b));
+    for (int trial = 0; trial < 5; ++trial) {
+      Rng rt = master.fork(100 + b * 10 + trial);
+      const VertexId start = sample_by_degree(g, rt);
+      const auto res = approximate_nibble(g, start, prm, b);
+      std::uint64_t vol = 0;
+      for (VertexId v : res.touched) vol += g.degree(v);
+      EXPECT_LE(static_cast<double>(vol), bound)
+          << "b=" << b << " start=" << start;
+    }
+  }
+}
+
 TEST(Nibble, RejectsBadInputs) {
   Rng rng(1);
   const Graph g = gen::cycle(10);
@@ -157,29 +180,69 @@ TEST(RandomNibble, RunsAndReportsSampledInputs) {
   }
 }
 
-TEST(DistributedWalk, MatchesCentralizedExactly) {
-  Rng rng(17);
-  const Graph g = gen::dumbbell_expanders(25, 25, 4, 2, rng);
-  const double eps = 1e-5;
-  const int steps = 40;
+TEST(RandomNibble, Lemma6ExpectedOverlap) {
+  // Lemma 6: for a set S with a sparse boundary, RandomNibble's cut C has
+  // E[Vol(C ∩ S)] >= Vol(S) / (8 Vol(V)); S is one side of a dumbbell and
+  // the mean runs over 60 seeded trials (a trial without a cut adds 0).
+  const Rng master(808);
+  Rng r = master.fork(2);
+  const Graph g = gen::dumbbell_expanders(100, 100, 4, 2, r);
+  std::vector<VertexId> left(100);
+  for (VertexId v = 0; v < 100; ++v) left[v] = v;
+  const VertexSet s(std::move(left));
+  const auto mask = s.bitmap(g.num_vertices());
+  const auto prm = NibbleParams::practical(0.03, g.num_edges(), g.volume());
 
-  congest::RoundLedger ledger;
-  congest::Network net(g, ledger);
-  const auto dist_walk =
-      distributed_truncated_walk(net, 3, steps, eps, "diffuse");
-  const auto cent_walk = spectral::truncated_walk(g, 3, steps, eps);
-
-  ASSERT_EQ(dist_walk.size(), cent_walk.size());
-  for (std::size_t t = 0; t < dist_walk.size(); ++t) {
-    ASSERT_EQ(dist_walk[t].support, cent_walk[t].support) << "step " << t;
-    for (std::size_t i = 0; i < dist_walk[t].size(); ++i) {
-      EXPECT_EQ(dist_walk[t].mass[i], cent_walk[t].mass[i])
-          << "step " << t << " vertex " << dist_walk[t].support[i];
+  const int trials = 60;
+  std::uint64_t overlap = 0;
+  for (int t = 0; t < trials; ++t) {
+    Rng rt = master.fork(500 + t);
+    const auto res = random_nibble(g, prm, rt);
+    for (VertexId v : res.inner.cut) {
+      if (mask[v]) overlap += g.degree(v);
     }
   }
-  // The diffusion really used the kernel: one round per step (no edge
-  // multiplexing for a single instance).
-  EXPECT_GE(ledger.rounds(), dist_walk.size() - 1);
+  EXPECT_GE(static_cast<double>(overlap) / trials,
+            static_cast<double>(volume(g, s)) /
+                (8.0 * static_cast<double>(g.volume())));
+}
+
+TEST(DistributedWalk, MatchesCentralizedExactly) {
+  // The kernel-executed diffusion must reproduce the orchestrated one
+  // bit-for-bit: same support and same mass at every step.
+  struct Case {
+    Graph g;
+    VertexId start;
+    int steps;
+    double eps;
+  };
+  Rng r17(17);
+  const Rng master(808);
+  Rng r3 = master.fork(3), r4 = master.fork(4);
+  const std::vector<Case> cases = {
+      {gen::dumbbell_expanders(25, 25, 4, 2, r17), 3, 40, 1e-5},
+      {gen::gnp(150, 0.05, r3), 0, 60, 1e-6},
+      {gen::dumbbell_expanders(60, 60, 4, 2, r4), 0, 60, 1e-6}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "n=" << c.g.num_vertices());
+    congest::RoundLedger ledger;
+    congest::Network net(c.g, ledger);
+    const auto dist_walk =
+        distributed_truncated_walk(net, c.start, c.steps, c.eps, "diffuse");
+    const auto cent_walk = spectral::truncated_walk(c.g, c.start, c.steps, c.eps);
+
+    ASSERT_EQ(dist_walk.size(), cent_walk.size());
+    for (std::size_t t = 0; t < dist_walk.size(); ++t) {
+      ASSERT_EQ(dist_walk[t].support, cent_walk[t].support) << "step " << t;
+      for (std::size_t i = 0; i < dist_walk[t].size(); ++i) {
+        EXPECT_EQ(dist_walk[t].mass[i], cent_walk[t].mass[i])
+            << "step " << t << " vertex " << dist_walk[t].support[i];
+      }
+    }
+    // The diffusion really used the kernel: one round per step (no edge
+    // multiplexing for a single instance).
+    EXPECT_GE(ledger.rounds(), dist_walk.size() - 1);
+  }
 }
 
 TEST(DistributedWalk, ChargesOneRoundPerStep) {

@@ -103,7 +103,7 @@ TEST(PaperMode, LddChargesDwarfPractical) {
   congest::Network net(g, ledger, 1);
   ldd::LddParams prm;
   prm.beta = 0.01;  // the scale Theorem 1 feeds in
-  const auto res = ldd::low_diameter_decomposition(net, prm, rng);
+  const auto res = ldd::low_diameter_decomposition(net, prm);
   (void)res;
   EXPECT_GT(ledger.rounds_for("LDD/classify"), 1000000u);
 }

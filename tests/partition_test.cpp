@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/generators.hpp"
@@ -96,16 +97,48 @@ TEST(Partition, ExpanderProducesEmptyOrSparseCutOnly) {
 }
 
 TEST(Theorem3, BalanceGuaranteeOnPlantedCut) {
-  // Dumbbell with a perfectly balanced planted cut of conductance ~0.0125:
-  // the most balanced sparse cut has b = 1/2, so Theorem 3 demands
-  // bal(C) >= min{b/2, 1/48} = 1/48.  (Statistical over the default seed.)
-  Rng rng(9);
-  const Graph g = gen::dumbbell_expanders(50, 50, 4, 2, rng);
-  congest::RoundLedger ledger;
-  const auto res = nearly_most_balanced_sparse_cut(g, 0.02, Preset::kPractical,
-                                                   rng, ledger);
-  ASSERT_TRUE(res.found());
-  EXPECT_GE(res.balance, 1.0 / 48.0);
+  // Dumbbells whose first n1 vertices form a planted cut S of conductance
+  // Φ(S) and balance b.  Theorem 3: a returned cut has conductance at most
+  // h(φ) (the practical preset's `theorem3_conductance_bound`), and when
+  // Φ(S) <= φ its balance is at least min{b/2, 1/48} -- S witnesses that
+  // the most balanced φ-sparse cut is at least b-balanced, so returning no
+  // cut (balance 0) fails too.
+  struct Case {
+    VertexId n1, n2;
+    double phi;
+  };
+  const std::vector<Case> cases = {
+      // Balanced to lopsided at φ = 0.02; 180:20 and 190:10 plant
+      // Φ(S) ≈ 0.024 and 0.048 > φ, so a returned cut need only meet the
+      // conductance clause.
+      {50, 50, 0.02}, {100, 100, 0.02}, {120, 80, 0.02}, {150, 50, 0.02},
+      {180, 20, 0.02}, {190, 10, 0.02},
+      // One split swept across φ around its Φ(S) ≈ 0.004: at φ = 0.002
+      // "no cut" is a legal answer, from 0.005 up a cut must come back.
+      {120, 120, 0.002}, {120, 120, 0.005}, {120, 120, 0.012},
+      {120, 120, 0.03}, {120, 120, 0.08}, {120, 120, 0.2}};
+  std::uint64_t seed = 9;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << c.n1 << ":" << c.n2 << " phi=" << c.phi);
+    Rng rng(seed++);
+    const Graph g = gen::dumbbell_expanders(c.n1, c.n2, 4, 2, rng);
+    std::vector<VertexId> left(c.n1);
+    for (VertexId v = 0; v < c.n1; ++v) left[v] = v;
+    const VertexSet planted(std::move(left));
+    congest::RoundLedger ledger;
+    const auto res = nearly_most_balanced_sparse_cut(
+        g, c.phi, Preset::kPractical, rng, ledger);
+    if (res.found()) {
+      EXPECT_LE(res.conductance,
+                theorem3_conductance_bound(c.phi, g.num_edges(), g.volume(),
+                                           Preset::kPractical));
+    }
+    if (conductance(g, planted) <= c.phi) {
+      EXPECT_GE(res.balance,
+                std::min(balance(g, planted) / 2.0, 1.0 / 48.0));
+    }
+  }
 }
 
 TEST(Theorem3, PhiRunParameterization) {

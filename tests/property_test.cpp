@@ -203,11 +203,10 @@ TEST_P(LddSweep, Theorem4HoldsOnCycles) {
   const Graph g = gen::cycle(8000);
   congest::RoundLedger ledger;
   congest::Network net(g, ledger, static_cast<std::uint64_t>(seed));
-  Rng rng(seed);
   ldd::LddParams prm;
   prm.beta = beta;
   prm.K = 1.0;
-  const auto res = ldd::low_diameter_decomposition(net, prm, rng);
+  const auto res = ldd::low_diameter_decomposition(net, prm);
   const double logn = std::log(8000.0);
   EXPECT_LE(ldd::max_component_diameter(g, res),
             150.0 * logn * logn / (beta * beta));

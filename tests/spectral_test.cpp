@@ -178,8 +178,22 @@ TEST(Mixing, JerrumSinclairSandwich) {
   // the Fiedler sweep, which is within Cheeger slack of exact -- the bounds
   // used here absorb that slack.
   Rng rng(9);
-  for (const Graph& g :
-       {gen::cycle(40), gen::random_regular(40, 4, rng), gen::hypercube(5)}) {
+  const Rng master(777);
+  Rng r1 = master.fork(1), r2 = master.fork(2);
+  const std::vector<Graph> families = {
+      gen::cycle(40),
+      gen::random_regular(40, 4, rng),
+      gen::hypercube(5),
+      gen::cycle(64),
+      gen::grid(8, 8, /*wrap=*/true),
+      gen::hypercube(6),
+      gen::complete(32),
+      gen::barbell(16),
+      gen::random_regular(64, 6, r1),
+      gen::dumbbell_expanders(32, 32, 4, 1, r2)};
+  for (const Graph& g : families) {
+    SCOPED_TRACE(::testing::Message() << "n=" << g.num_vertices()
+                                      << " m=" << g.num_edges());
     const auto cut = fiedler_sweep(g);
     ASSERT_TRUE(cut.has_value());
     const double phi = cut->conductance;

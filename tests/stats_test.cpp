@@ -10,41 +10,6 @@
 namespace xd {
 namespace {
 
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(5.0 / 3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-}
-
-TEST(Summary, Quantiles) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(s.quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(s.quantile(0.25), 25.75, 1e-9);
-}
-
-TEST(Summary, EmptyThrows) {
-  Summary s;
-  EXPECT_THROW((void)s.mean(), CheckError);
-  EXPECT_THROW((void)s.quantile(0.5), CheckError);
-}
-
-TEST(Summary, QuantileAfterAddResorts) {
-  Summary s;
-  s.add(5.0);
-  s.add(1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  s.add(0.5);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 0.5);
-}
-
 TEST(LogLogFit, RecoversExactPowerLaw) {
   LogLogFit fit;
   for (double x : {10.0, 20.0, 40.0, 80.0, 160.0}) {
@@ -58,19 +23,6 @@ TEST(LogLogFit, RejectsNonPositive) {
   LogLogFit fit;
   EXPECT_THROW(fit.add(0.0, 1.0), CheckError);
   EXPECT_THROW(fit.add(1.0, -1.0), CheckError);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.9);   // bucket 4
-  h.add(-3.0);  // clamps to 0
-  h.add(42.0);  // clamps to 4
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_FALSE(h.render().empty());
 }
 
 TEST(Table, RendersAlignedRows) {

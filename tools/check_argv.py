@@ -4,29 +4,35 @@
 Each binary must reject an unknown flag up front -- non-zero exit and a
 usage line -- instead of silently ignoring it and burning minutes of bench
 time (the historical failure mode: `bench_expander --jsn out.json` ran the
-whole suite and wrote nothing).  bench_kernel is exempt: google-benchmark
-owns its flag parsing.
+whole suite and wrote nothing).  The binaries are derived from the sources
+CMakeLists.txt builds them from, `bench/*.cpp` and `tools/*.cpp`, so a
+deleted or renamed program leaves no stale name behind.  Sources that
+include `benchmark/benchmark.h` (bench_kernel) are exempt, the same rule
+CMakeLists.txt applies: google-benchmark owns their flag parsing.
 
 Usage: check_argv.py BUILD_DIR
 """
 
+import glob
 import os
 import subprocess
 import sys
 
-# Binaries under the strict-argv contract.  Missing ones are skipped (the
-# bench/example groups can be configured off) but at least one must exist.
-BINARIES = [
-    "edges_to_binary",
-    "bench_expander",
-    "bench_triangle",
-    "bench_routing",
-    "bench_serve",
-    "bench_ldd",
-    "bench_mixing",
-    "bench_nibble",
-    "bench_sparse_cut",
-]
+SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def strict_argv_binaries():
+    """Binary names under the strict-argv contract, one per source file."""
+    names = []
+    for pattern in ("bench/*.cpp", "tools/*.cpp"):
+        for src in sorted(glob.glob(os.path.join(SOURCE_ROOT, pattern))):
+            with open(src, "rb") as f:
+                # CMakeLists.txt reads the first 4096 bytes for the same test.
+                if b"benchmark/benchmark.h" in f.read(4096):
+                    continue
+            names.append(os.path.splitext(os.path.basename(src))[0])
+    return names
+
 
 BAD_FLAG = "--definitely-not-a-flag"
 
@@ -48,7 +54,9 @@ def main():
     build_dir = sys.argv[1]
     checked = 0
     failures = []
-    for name in BINARIES:
+    # Missing binaries are skipped (the bench group can be configured off)
+    # but at least one must exist.
+    for name in strict_argv_binaries():
         path = os.path.join(build_dir, name)
         if not os.path.exists(path):
             print(f"skip {name}: not built")
