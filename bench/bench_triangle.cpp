@@ -14,7 +14,8 @@
 //        in-place kernelized join + stamped scratch) over a 100-cluster
 //        workload at --scale ambient vertices, checked exact against the
 //        local baseline's triangle count.  --json PATH emits the E4d summary
-//        (the BENCH_triangle.json trajectory point).
+//        (the BENCH_triangle.json trajectory point) with the run's
+//        environment block; --git-rev REV names the measured revision.
 
 #include <algorithm>
 #include <chrono>
@@ -24,7 +25,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "core/xd.hpp"
 #include "util/check.hpp"
@@ -217,9 +223,9 @@ std::string run_e4d(std::size_t scale) {
 /// components, matching the two consumers:
 ///
 ///  * **bucket**: one dense cluster's proxy plane (every edge shipped to
-///    its p proxy triples, exactly the data-plane expansion), laid out in
-///    bucket order and joined by join_proxy_plane -- the timed pass covers
-///    layout and join, with no per-pass copy of the plane;
+///    its p proxy triples, exactly the data-plane expansion), each bucket
+///    merged from its group-pair lists and joined by join_proxy_plane --
+///    the timed pass covers grouping, merges and joins;
 ///  * **csr**: the local baseline's CSR merge join csr_triangle_join on a
 ///    skewed graph (loaded from --input, else preferential attachment --
 ///    hubs cross the bitmap threshold).
@@ -257,7 +263,7 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
     triangle::join_proxy_plane(edges, ranker, groups.data(), js, tris);
   };
   bucket_join();
-  std::sort(tris.begin(), tris.end());  // bucket order -> (x, y, z) order
+  std::sort(tris.begin(), tris.end());  // walk order -> (x, y, z) order
   const bool bucket_exact = tris == triangles_exact(cg);
   const std::uint64_t bucket_tris = tris.size();
 
@@ -341,7 +347,8 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
   std::ostringstream out;
   out << "  \"e4d_large\": {\n"
       << "    \"scale\": " << scale << ",\n"
-      << "    \"bucket\": {\"tuples\": " << js.u.size()
+      << "    \"bucket\": {\"tuples\": "
+      << std::uint64_t{p} * edges.size()  // the plane's copies, p·m
       << ", \"p\": " << p << ", \"triangles\": " << bucket_tris
       << ", \"kernel_ms\": " << bucket_ms << ", \"exact\": "
       << (bucket_exact ? "true" : "false") << "},\n"
@@ -356,12 +363,49 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
   return out.str();
 }
 
+/// The CPU brand string, or "unknown" off x86 or when cpuid lacks it.
+std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned int regs[12] = {};
+  if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000004u) return "unknown";
+  for (unsigned int i = 0; i < 3; ++i) {
+    __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1],
+                &regs[4 * i + 2], &regs[4 * i + 3]);
+  }
+  std::string s(reinterpret_cast<const char*>(regs), sizeof regs);
+  s.erase(std::find(s.begin(), s.end(), '\0'), s.end());
+  s.erase(0, s.find_first_not_of(' '));
+  return s;
+#else
+  return "unknown";
+#endif
+}
+
+/// The run's environment block, in the fields xdbench records: cores,
+/// CPU, kernel ISA, build type, compiler, measured revision and the scale
+/// of each E4d series in the file.
+std::string env_json(const std::string& git_rev, std::size_t e4d_scale,
+                     std::size_t large_scale) {
+  std::ostringstream out;
+  out << "  \"env\": {\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"cpu\": \"" << cpu_model() << "\", \"isa\": \""
+      << xd::triangle::intersect::isa_name(
+             xd::triangle::intersect::active_isa())
+      << "\", \"build_type\": \"" << XD_BENCH_BUILD_TYPE
+      << "\", \"compiler\": \"" << XD_BENCH_COMPILER << "\", \"git_rev\": \""
+      << git_rev << "\", \"scale\": {\"e4d\": " << e4d_scale;
+  if (large_scale > 0) out << ", \"e4d_large\": " << large_scale;
+  out << "}}";
+  return out.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace xd;
   std::string json_path;
   std::string input;
+  std::string git_rev = "unknown";
   std::size_t scale = 100000;
   bool scale_given = false;
   bool large = false;
@@ -371,6 +415,8 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--input") == 0 && i + 1 < argc) {
       input = argv[++i];
+    } else if (std::strcmp(argv[i], "--git-rev") == 0 && i + 1 < argc) {
+      git_rev = argv[++i];
     } else if (std::strcmp(argv[i], "--large") == 0) {
       large = true;
     } else if (std::strcmp(argv[i], "--reorder") == 0) {
@@ -391,7 +437,8 @@ int main(int argc, char** argv) {
       scale_given = true;
     } else {
       std::cerr << "usage: bench_triangle [--json PATH] [--scale N] "
-                   "[--large] [--input FILE.xdg] [--reorder]\n";
+                   "[--large] [--input FILE.xdg] [--reorder] "
+                   "[--git-rev REV]\n";
       return 2;
     }
   }
@@ -518,10 +565,12 @@ int main(int argc, char** argv) {
 
   // The small E4d always runs -- it is the standing trajectory point -- at
   // its 100k scale in large mode, so large runs extend the same series.
-  std::vector<std::string> fragments;
+  const std::size_t e4d_scale =
+      large ? std::min<std::size_t>(scale, 100000) : scale;
+  std::vector<std::string> fragments = {
+      env_json(git_rev, e4d_scale, large ? scale : 0)};
   try {
-    fragments.push_back(run_e4d(large ? std::min<std::size_t>(scale, 100000)
-                                      : scale));
+    fragments.push_back(run_e4d(e4d_scale));
     if (large) fragments.push_back(run_e4d_large(scale, input, reorder));
   } catch (const CheckError& e) {
     // Bad --input files (missing, wrong magic, truncated) land here; a

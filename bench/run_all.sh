@@ -136,6 +136,11 @@ for name in "${NAMES[@]}"; do
     # at 100k, closed-loop qps/p50/p99).  Tables still stream to the
     # terminal for the human trail.
     EXTRA=()
+    if [[ "$name" == bench_triangle ]]; then
+      # The measured tree: "-dirty" marks uncommitted changes on top.
+      EXTRA+=(--git-rev "$(git describe --always --dirty 2>/dev/null ||
+                           echo unknown)")
+    fi
     if [[ "$name" == bench_triangle && $LARGE -eq 1 ]]; then
       EXTRA+=(--large)
       [[ -n "$LARGE_SCALE" ]] && EXTRA+=(--scale "$LARGE_SCALE")

@@ -83,7 +83,6 @@ ItemResult Driver::cluster(WorkItem& item, congest::RoundLedger& lg,
     const LiveSubgraph mat = live.materialize();
     ldd::LddParams ldd_prm;
     ldd_prm.beta = schedule.beta;
-    ldd_prm.K = prm.ldd_K;
     congest::Network net(mat.graph, lg, item.rng());
     const ldd::LddResult ldd_res = ldd::low_diameter_decomposition(net, ldd_prm);
     for (EdgeId e = 0; e < mat.graph.num_edges(); ++e) {

@@ -50,7 +50,6 @@ struct DecompositionParams {
   double epsilon = 0.3;  ///< inter-component edge budget (fraction of |E|)
   int k = 2;             ///< level count; rounds scale as n^{2/k}
   Preset preset = Preset::kPractical;
-  double ldd_K = 2.0;    ///< V_D/V_S guard constant
   /// Practical floor for the φ_i schedule (the literal h⁻¹ iterate
   /// collapses to denormals within a few levels; paper mode uses 0).
   double phi_floor = 1e-7;

@@ -124,9 +124,12 @@ VerificationReport verify_decomposition(const Graph& g,
         q.conductance_upper = q.conductance_lower;
         q.exact = true;
       } else {
-        const double lambda2 = spectral::lazy_second_eigenvalue(live);
-        q.conductance_lower = std::max(0.0, 1.0 - lambda2);
-        const auto sweep = spectral::fiedler_sweep(live);
+        // One power loop feeds both ends: the Cheeger-style lower estimate
+        // from its λ₂ and the sweep cut from its vector.
+        const spectral::PowerIterate iterate =
+            spectral::lazy_power_iteration(live);
+        q.conductance_lower = std::max(0.0, 1.0 - iterate.lambda2());
+        const auto sweep = spectral::fiedler_sweep(live, iterate);
         q.conductance_upper = sweep ? sweep->conductance
                                     : std::numeric_limits<double>::infinity();
         q.exact = false;

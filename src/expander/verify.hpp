@@ -7,9 +7,15 @@
 ///   (3) every component satisfies Φ(G{V_i}) >= φ.
 ///
 /// (3) asks for a conductance *lower* bound, which is NP-hard exactly; the
-/// verifier uses exhaustive enumeration for tiny components and the Cheeger
-/// bound Φ >= 1 - λ₂(lazy walk) otherwise (the lazy walk of G{V_i} with its
-/// substitution loops -- laziness from loops is accounted automatically).
+/// verifier uses exhaustive enumeration for tiny components (exact, hence
+/// certified) and the Cheeger bound Φ >= 1 - λ₂(lazy walk) otherwise (the
+/// lazy walk of G{V_i} with its substitution loops -- laziness from loops
+/// is accounted automatically).  The Cheeger step is sound only for the
+/// true λ₂, and λ₂ comes from an unconverged 400-step power iterate
+/// (spectral::lazy_power_iteration), which sits below λ₂ and so overstates
+/// the gap -- 445× on cycle(2000).  Unless `exact`, a component's lower
+/// bound, and with it conductance_meets_phi, is an estimate, not a
+/// certificate (ROADMAP.md, "Certified spectral bounds from one solver").
 
 #include <cstdint>
 #include <vector>
@@ -24,7 +30,9 @@ struct ComponentQuality {
   std::uint32_t id = 0;
   std::size_t size = 0;
   std::uint64_t volume = 0;         ///< ambient volume
-  double conductance_lower = 0.0;   ///< certified lower bound on Φ(G{V_i})
+  /// Lower bound on Φ(G{V_i}): certified when `exact`, otherwise the
+  /// Cheeger estimate from an unconverged λ₂ (see the file comment).
+  double conductance_lower = 0.0;
   double conductance_upper = 0.0;   ///< witnessed cut (∞ if none found)
   bool exact = false;               ///< lower bound exhaustive?
 };

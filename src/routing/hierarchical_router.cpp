@@ -16,9 +16,9 @@ HierarchicalRouter::HierarchicalRouter(const Graph& g,
 
 namespace {
 
-double log_power(std::size_t n, int k, double scale) {
+double log_power(std::size_t n, int k) {
   const double ln = std::max(std::log2(static_cast<double>(std::max<std::size_t>(n, 2))), 1.0);
-  return std::pow(ln, scale * static_cast<double>(k));
+  return std::pow(ln, static_cast<double>(k));
 }
 
 }  // namespace
@@ -29,7 +29,7 @@ std::uint64_t HierarchicalRouter::preprocessing_cost() const {
   const double beta = std::pow(m, 1.0 / static_cast<double>(prm_.depth));
   // GKS Lemma 3.2 (hierarchy) + Lemma 3.3 (portals).
   const double hierarchy = static_cast<double>(prm_.depth) * beta *
-                           log_power(n, prm_.depth, prm_.log_exp_scale) *
+                           log_power(n, prm_.depth) *
                            static_cast<double>(tau_);
   const double portals = static_cast<double>(prm_.depth) * beta * beta *
                          std::log2(static_cast<double>(std::max<std::size_t>(n, 2))) *
@@ -40,7 +40,7 @@ std::uint64_t HierarchicalRouter::preprocessing_cost() const {
 std::uint64_t HierarchicalRouter::query_cost() const {
   // GKS Lemma 3.4.
   return static_cast<std::uint64_t>(
-      std::ceil(log_power(g_->num_vertices(), prm_.depth, prm_.log_exp_scale) *
+      std::ceil(log_power(g_->num_vertices(), prm_.depth) *
                 static_cast<double>(tau_)));
 }
 

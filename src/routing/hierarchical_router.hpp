@@ -24,10 +24,10 @@
 
 namespace xd::routing {
 
-/// Cost-model parameters (the (log n)^{O(k)} exponent constants).
+/// Cost-model parameters.  The (log n)^{O(k)} factors are charged as
+/// (log₂ n)^k.
 struct HierarchicalParams {
   int depth = 2;          ///< the GKS parameter k (>= 1)
-  double log_exp_scale = 1.0;  ///< multiplier c in (log n)^{c·k}
   /// Mixing time override; 0 = estimate from the graph spectrally.
   std::uint32_t tau_mix = 0;
 };

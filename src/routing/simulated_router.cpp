@@ -52,11 +52,6 @@ SimulatedHierarchicalRouter::SimulatedHierarchicalRouter(
     congest::Network& net, SimulatedHierarchicalParams prm)
     : net_(&net), prm_(prm) {
   XD_CHECK(prm_.depth >= 1);
-  XD_CHECK(prm_.walk_scale > 0);
-  const std::size_t n = net.num_vertices();
-  int log_n = 1;
-  for (std::size_t v = 1; v < n; v <<= 1) ++log_n;
-  if (prm_.relay_trees <= 0) prm_.relay_trees = log_n;
 }
 
 std::size_t SimulatedHierarchicalRouter::num_clusters() const {
@@ -223,12 +218,11 @@ void SimulatedHierarchicalRouter::embed_portals(std::size_t index) {
   const double ratio = log2sq(level.max_parent_volume) / log2sq(g.volume());
   const int tau = std::max(
       1, std::min(256, static_cast<int>(std::ceil(
-                           prm_.walk_scale * static_cast<double>(tau_mix_) *
-                           ratio))));
+                           static_cast<double>(tau_mix_) * ratio))));
 
   // Token release: one token per sibling (Σ over parents of children²
-  // total -- the Lemma 3.3 β² term), capped by portal_cap when set,
-  // spread round-robin over the cluster's members.
+  // total -- the Lemma 3.3 β² term), spread round-robin over the
+  // cluster's members.
   std::vector<std::size_t> children_of_parent;
   for (const Cluster& c : level.clusters) {
     if (c.parent >= children_of_parent.size()) {
@@ -240,10 +234,8 @@ void SimulatedHierarchicalRouter::embed_portals(std::size_t index) {
   std::vector<std::vector<std::uint32_t>> held_next(n);
   for (std::uint32_t ci = 0; ci < level.clusters.size(); ++ci) {
     const Cluster& c = level.clusters[ci];
-    std::size_t t = std::max<std::size_t>(children_of_parent[c.parent] - 1, 1);
-    if (prm_.portal_cap > 0) {
-      t = std::min(t, static_cast<std::size_t>(prm_.portal_cap));
-    }
+    const std::size_t t =
+        std::max<std::size_t>(children_of_parent[c.parent] - 1, 1);
     for (std::size_t j = 0; j < t; ++j) {
       held[c.members[j % c.members.size()]].push_back(ci);
     }
@@ -376,9 +368,12 @@ std::uint64_t SimulatedHierarchicalRouter::preprocess() {
     }
   }
 
-  // Relay BFS trees for realizing portal hops (real BFS waves).
+  // ⌈log₂ n⌉ + 1 relay BFS trees for realizing portal hops (real BFS
+  // waves).
+  int relay_trees = 1;
+  for (std::size_t v = 1; v < n; v <<= 1) ++relay_trees;
   const std::vector<char> active(n, 1);
-  for (int t = 0; t < prm_.relay_trees; ++t) {
+  for (int t = 0; t < relay_trees; ++t) {
     const auto root = static_cast<VertexId>(rng.next_below(n));
     forests_.push_back(prim::build_forest_from_roots(
         *net_, active, {root}, "SimHierRouter/forest"));

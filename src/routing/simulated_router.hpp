@@ -47,19 +47,15 @@
 
 namespace xd::routing {
 
-/// Construction knobs for the simulated hierarchy.
+/// Construction knobs for the simulated hierarchy.  Each cluster releases
+/// one walk token per sibling (uncapped: the Lemma 3.3 pairwise linking
+/// that E5c charts), walks them τ_ℓ = τ_mix · (log² vol_ℓ / log² vol)
+/// steps (capped at 256), and portal hops ride ⌈log₂ n⌉ + 1 relay BFS
+/// trees.
 struct SimulatedHierarchicalParams {
   /// The GKS depth parameter k (>= 1): number of recursive edge-partition
   /// levels; β = ⌈m^{1/k}⌉ groups per split.
   int depth = 2;
-  /// Cap on walk tokens (hence portals) per cluster.  0 = uncapped: one
-  /// token per sibling, the Lemma 3.3 pairwise linking that E5c charts.
-  int portal_cap = 0;
-  /// Relay BFS trees for portal-hop paths; 0 = ⌈log₂ n⌉ + 1.
-  int relay_trees = 0;
-  /// Multiplier on the per-level portal-walk budget
-  /// τ_ℓ = τ_mix · (log² vol_ℓ / log² vol) (capped at 256 steps).
-  double walk_scale = 1.0;
 };
 
 /// Simulated GKS backend.  Requires a connected graph (same contract as

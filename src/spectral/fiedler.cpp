@@ -1,61 +1,25 @@
 #include "spectral/fiedler.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "graph/metrics.hpp"
-#include "spectral/lazy_walk.hpp"
-#include "spectral/mixing.hpp"
 #include "spectral/sweep.hpp"
 #include "util/check.hpp"
 
 namespace xd::spectral {
 
 std::optional<SpectralCut> fiedler_sweep(const Graph& g, int iterations) {
+  if (g.num_vertices() < 2 || g.volume() == 0) return std::nullopt;
+  return fiedler_sweep(g, lazy_power_iteration(g, iterations));
+}
+
+std::optional<SpectralCut> fiedler_sweep(const Graph& g,
+                                         const PowerIterate& iterate) {
   const std::size_t n = g.num_vertices();
-  if (n < 2 || g.volume() == 0) return std::nullopt;
-  const double vol = static_cast<double>(g.volume());
-
-  // Power iteration in the symmetrized space (same scheme as
-  // lazy_second_eigenvalue, but we keep the vector).
-  std::vector<double> top(n);
-  for (VertexId v = 0; v < n; ++v) top[v] = std::sqrt(g.degree(v) / vol);
-  std::vector<double> y(n);
-  for (VertexId v = 0; v < n; ++v) {
-    y[v] = ((v * 2654435761u) % 1000) / 1000.0 - 0.5;
-  }
-  auto deflate = [&](std::vector<double>& vec) {
-    double dot = 0;
-    for (std::size_t i = 0; i < n; ++i) dot += vec[i] * top[i];
-    for (std::size_t i = 0; i < n; ++i) vec[i] -= dot * top[i];
-  };
-  auto apply = [&](const std::vector<double>& vec) {
-    std::vector<double> x(n);
-    for (VertexId v = 0; v < n; ++v) {
-      x[v] = vec[v] * std::sqrt(static_cast<double>(g.degree(v)));
-    }
-    x = lazy_step(g, x);
-    for (VertexId v = 0; v < n; ++v) {
-      const double d = g.degree(v);
-      x[v] = d > 0 ? x[v] / std::sqrt(d) : 0.0;
-    }
-    return x;
-  };
-
-  deflate(y);
-  double lambda = 0;
-  for (int it = 0; it < iterations; ++it) {
-    double len = 0;
-    for (double x : y) len += x * x;
-    len = std::sqrt(len);
-    if (len < 1e-300) break;
-    for (double& x : y) x /= len;
-    auto next = apply(y);
-    deflate(next);
-    double dot = 0;
-    for (std::size_t i = 0; i < n; ++i) dot += next[i] * y[i];
-    lambda = dot;
-    y = std::move(next);
-  }
+  const std::vector<double>& y = iterate.y;
+  XD_CHECK(y.size() == n);
 
   // Fiedler embedding: f = D^{-1/2} y; sweep both directions (the vector's
   // sign is arbitrary).
@@ -78,7 +42,7 @@ std::optional<SpectralCut> fiedler_sweep(const Graph& g, int iterations) {
   };
 
   SpectralCut best;
-  best.lambda2 = lambda;
+  best.lambda2 = iterate.lambda;
   best.conductance = std::numeric_limits<double>::infinity();
   for (bool negate : {false, true}) {
     const Sweep sw = sweep_cut(g, shifted(negate));

@@ -8,7 +8,7 @@
 
 namespace xd::spectral {
 
-double lazy_second_eigenvalue(const Graph& g, int iterations) {
+PowerIterate lazy_power_iteration(const Graph& g, int iterations) {
   const std::size_t n = g.num_vertices();
   XD_CHECK(n >= 2);
   const double vol = static_cast<double>(g.volume());
@@ -19,7 +19,9 @@ double lazy_second_eigenvalue(const Graph& g, int iterations) {
   std::vector<double> top(n);
   for (VertexId v = 0; v < n; ++v) top[v] = std::sqrt(g.degree(v) / vol);
 
-  std::vector<double> y(n);
+  PowerIterate out;
+  std::vector<double>& y = out.y;
+  y.resize(n);
   for (VertexId v = 0; v < n; ++v) {
     // Deterministic pseudo-random start, orthogonalized below.
     y[v] = ((v * 2654435761u) % 1000) / 1000.0 - 0.5;
@@ -50,19 +52,29 @@ double lazy_second_eigenvalue(const Graph& g, int iterations) {
   };
 
   deflate(y);
-  double lambda = 0;
   for (int it = 0; it < iterations; ++it) {
     const double len = norm(y);
-    if (len < 1e-300) return 0.0;  // walk mixes in one step (e.g. K_2 lazy)
+    if (len < 1e-300) {
+      out.collapsed = true;
+      break;
+    }
     for (double& x : y) x /= len;
     std::vector<double> next = apply(y);
     deflate(next);
     double dot = 0;
     for (std::size_t i = 0; i < n; ++i) dot += next[i] * y[i];
-    lambda = dot;
+    out.lambda = dot;
     y = std::move(next);
   }
-  return std::clamp(lambda, 0.0, 1.0);
+  return out;
+}
+
+double PowerIterate::lambda2() const {
+  return collapsed ? 0.0 : std::clamp(lambda, 0.0, 1.0);
+}
+
+double lazy_second_eigenvalue(const Graph& g, int iterations) {
+  return lazy_power_iteration(g, iterations).lambda2();
 }
 
 std::uint32_t mixing_time_simulated(const Graph& g, double eps, int starts,

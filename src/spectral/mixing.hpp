@@ -16,10 +16,28 @@
 
 namespace xd::spectral {
 
+/// Result of the fixed-length power iteration on the symmetrized lazy walk
+/// N = D^{-1/2} M D^{1/2}, stationary component deflated.  Nothing checks
+/// convergence, so `lambda` estimates λ₂ from below: after 400 iterations
+/// the gap 1 - λ₂ reads 445× too large on cycle(2000).
+struct PowerIterate {
+  double lambda = 0;       ///< Rayleigh quotient of the last iterate
+  std::vector<double> y;   ///< last iterate; D^{-1/2} y is the embedding
+  bool collapsed = false;  ///< norm fell below 1e-300 (e.g. lazy K_2)
+
+  /// The λ₂ estimate: 0 on collapse, else `lambda` clamped to [0, 1].
+  [[nodiscard]] double lambda2() const;
+};
+
+/// The one power loop in spectral/ (lazy_second_eigenvalue and
+/// fiedler_sweep both read it).  Requires >= 2 vertices and positive
+/// volume.
+PowerIterate lazy_power_iteration(const Graph& g, int iterations = 400);
+
 /// Second-largest eigenvalue λ₂ of the lazy walk matrix M (all eigenvalues
-/// of M lie in [0, 1]).  Power iteration on the symmetrized walk
-/// D^{-1/2} M D^{1/2} with the stationary component deflated.  The spectral
-/// gap 1 - λ₂ controls mixing: τ(ε) <= log(1/(ε π_min)) / (1 - λ₂).
+/// of M lie in [0, 1]), estimated by lazy_power_iteration(g, iterations).
+/// The spectral gap 1 - λ₂ controls mixing:
+/// τ(ε) <= log(1/(ε π_min)) / (1 - λ₂).
 double lazy_second_eigenvalue(const Graph& g, int iterations = 400);
 
 /// Exact-simulation mixing time: the smallest t such that the walk from the

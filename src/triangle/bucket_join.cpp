@@ -113,114 +113,87 @@ void join_bucket_kernel(const std::uint32_t* us, const std::uint32_t* vals,
 
 }  // namespace
 
-void layout_proxy_plane(std::vector<std::uint64_t>& edges,
-                        const TripleRanker& ranker,
-                        const std::uint32_t* groups, JoinScratch& js) {
-  const std::uint32_t p = ranker.p();
-  const std::uint64_t num_ranks = ranker.count();
-  XD_CHECK_MSG(num_ranks < kU32Limit,
-               "proxy rank domain " << num_ranks << " does not fit u32");
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  const std::uint64_t copies = std::uint64_t{p} * edges.size();
-  XD_CHECK_MSG(copies < kU32Limit,
-               "proxy plane of " << copies << " copies does not fit u32");
-
-  js.u.resize(copies);
-  js.v.resize(copies);
-  js.bucket_rank.clear();
-  js.bucket_end.clear();
-  if (copies * 4 >= num_ranks) {
-    // Bucket r holds the edges of every unordered group pair its sorted
-    // triple a <= b <= c contains: at most three pairs, with disjoint edge
-    // lists.  Group the sorted edges by pair, each list in (u, v) order
-    // and closed by kNoEdge, then write the buckets in rank order (the
-    // lexicographic triple order), each as one merge of its pairs' lists.
-    // Reads and writes stream, and every bucket comes out sorted and
-    // duplicate-free.
-    const std::size_t num_pairs = std::size_t{p} * p;
-    const auto pair_of = [&](std::uint64_t e) {
-      std::uint32_t ga = groups[e >> 32];
-      std::uint32_t gb = groups[static_cast<std::uint32_t>(e)];
-      if (ga > gb) std::swap(ga, gb);
-      return std::size_t{ga} * p + gb;
-    };
-    auto& ends = js.pair_ends;
-    ends.assign(num_pairs + 1, 0);
-    for (const std::uint64_t e : edges) ++ends[pair_of(e) + 1];
-    for (std::size_t k = 0; k < num_pairs; ++k) ends[k + 1] += ends[k] + 1;
-    js.pair_edges.assign(ends[num_pairs], kNoEdge);
-    for (const std::uint64_t e : edges) js.pair_edges[ends[pair_of(e)]++] = e;
-    // ends[k] now indexes pair k's sentinel; its list starts one past
-    // pair k - 1's.
-    std::uint32_t pos = 0;
-    std::uint32_t r = 0;
-    for (std::uint32_t a = 0; a < p; ++a) {
-      for (std::uint32_t b = a; b < p; ++b) {
-        for (std::uint32_t c = b; c < p; ++c, ++r) {
-          const std::uint64_t* lists[3] = {&kNoEdge, &kNoEdge, &kNoEdge};
-          std::uint32_t size = 0;
-          int num_lists = 0;
-          const auto add = [&](std::uint32_t ga, std::uint32_t gb) {
-            const std::size_t k = std::size_t{ga} * p + gb;
-            const std::size_t lo = k == 0 ? 0 : ends[k - 1] + 1;
-            if (ends[k] == lo) return;
-            lists[num_lists++] = js.pair_edges.data() + lo;
-            size += static_cast<std::uint32_t>(ends[k] - lo);
-          };
-          add(a, b);
-          if (c != b) add(a, c);
-          if (a != b) add(b, c);
-          if (size == 0) continue;
-          merge_lists(lists[0], lists[1], lists[2], size, js.u.data() + pos,
-                      js.v.data() + pos);
-          pos += size;
-          js.bucket_rank.push_back(r);
-          js.bucket_end.push_back(pos);
-        }
-      }
-    }
-  } else {
-    // Sparse: sorting one (rank, edge index) key per copy gives the same
-    // order, since edge indices ascend in (u, v).  An edge's p ranks are
-    // its group pair with every third group.
-    js.keys.clear();
-    js.keys.reserve(copies);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const std::uint32_t ga = groups[edges[i] >> 32];
-      const std::uint32_t gb = groups[static_cast<std::uint32_t>(edges[i])];
-      for (std::uint32_t c = 0; c < p; ++c) {
-        js.keys.push_back((ranker.rank(ga, gb, c) << 32) | i);
-      }
-    }
-    std::sort(js.keys.begin(), js.keys.end());
-    for (std::size_t t = 0; t < copies; ++t) {
-      const auto r = static_cast<std::uint32_t>(js.keys[t] >> 32);
-      const std::uint64_t e = edges[static_cast<std::uint32_t>(js.keys[t])];
-      js.u[t] = static_cast<std::uint32_t>(e >> 32);
-      js.v[t] = static_cast<std::uint32_t>(e);
-      if (js.bucket_rank.empty() || js.bucket_rank.back() != r) {
-        js.bucket_rank.push_back(r);
-        js.bucket_end.push_back(0);
-      }
-      js.bucket_end.back() = static_cast<std::uint32_t>(t + 1);
-    }
-  }
-}
-
 void join_proxy_plane(std::vector<std::uint64_t>& edges,
                       const TripleRanker& ranker, const std::uint32_t* groups,
                       JoinScratch& js, std::vector<Triangle>& out) {
   if (edges.empty()) return;
-  layout_proxy_plane(edges, ranker, groups, js);
+  // Two caps, both checked before anything is allocated.  A bucket holds
+  // at most every edge, and its merge count and run offsets are u32: the
+  // plane stays below 2^32 copies.  The rank domain stays below 2^32
+  // triples, which bounds p (<= 2954) and with it the O(p^2) pair tables.
+  const std::uint32_t p = ranker.p();
+  const std::uint64_t num_ranks = ranker.count();
+  XD_CHECK_MSG(num_ranks < kU32Limit,
+               "proxy rank domain of " << num_ranks << " triples exceeds 2^32");
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  const std::uint64_t copies = std::uint64_t{p} * edges.size();
+  XD_CHECK_MSG(copies < kU32Limit,
+               "proxy plane of " << copies << " copies exceeds 2^32");
 
-  // Kernelized join, one bucket span at a time, read in place.
-  std::uint32_t lo = 0;
-  for (std::size_t b = 0; b < js.bucket_rank.size(); ++b) {
-    const std::uint32_t hi = js.bucket_end[b];
-    join_bucket_kernel(js.u.data() + lo, js.v.data() + lo, hi - lo,
-                       js.bucket_rank[b], ranker, groups, js, out);
-    lo = hi;
+  // Group the sorted edges by unordered group pair, each list in (u, v)
+  // order and closed by kNoEdge.  ends[k] ends up indexing pair k's
+  // sentinel; its list starts one past pair k - 1's.
+  const std::size_t num_pairs = std::size_t{p} * p;
+  const auto pair_of = [&](std::uint64_t e) {
+    std::uint32_t ga = groups[e >> 32];
+    std::uint32_t gb = groups[static_cast<std::uint32_t>(e)];
+    if (ga > gb) std::swap(ga, gb);
+    return std::size_t{ga} * p + gb;
+  };
+  auto& ends = js.pair_ends;
+  ends.assign(num_pairs + 1, 0);
+  for (const std::uint64_t e : edges) ++ends[pair_of(e) + 1];
+  for (std::size_t k = 0; k < num_pairs; ++k) ends[k + 1] += ends[k] + 1;
+  js.pair_edges.assign(ends[num_pairs], kNoEdge);
+  for (const std::uint64_t e : edges) js.pair_edges[ends[pair_of(e)]++] = e;
+  const auto list_begin = [&](std::size_t k) {
+    return k == 0 ? 0 : ends[k - 1] + 1;
+  };
+
+  // The bucket of sorted triple a <= b <= c holds the edges of the (at
+  // most three) distinct pairs (a,b), (a,c), (b,c), whose lists are
+  // disjoint.  Every non-empty bucket contains a non-empty pair, so the
+  // walk goes from each non-empty pair {x, y} to its p triples {x, y, g}
+  // and takes a bucket only from the first non-empty pair it lists: each
+  // bucket is merged and joined exactly once, O(p^2 + copies) in all.
+  for (std::uint32_t x = 0; x < p; ++x) {
+    for (std::uint32_t y = x; y < p; ++y) {
+      const std::size_t k = std::size_t{x} * p + y;
+      if (ends[k] == list_begin(k)) continue;
+      for (std::uint32_t g = 0; g < p; ++g) {
+        const std::uint32_t a = std::min(x, g);
+        const std::uint32_t b = std::clamp(g, x, y);
+        const std::uint32_t c = std::max(y, g);
+        const std::uint64_t* lists[3] = {&kNoEdge, &kNoEdge, &kNoEdge};
+        std::size_t size = 0;
+        int num_lists = 0;
+        // Adds a pair's list; false when an earlier non-empty pair (not
+        // {x, y}) owns the bucket.
+        const auto add = [&](std::uint32_t ga, std::uint32_t gb) {
+          const std::size_t pair = std::size_t{ga} * p + gb;
+          const std::size_t lo = list_begin(pair);
+          if (ends[pair] == lo) return true;
+          if (num_lists == 0 && pair != k) return false;
+          lists[num_lists++] = js.pair_edges.data() + lo;
+          size += ends[pair] - lo;
+          return true;
+        };
+        if (!add(a, b) || (c != b && !add(a, c)) || (a != b && !add(b, c))) {
+          continue;
+        }
+        if (js.u.size() < size) {
+          js.u.resize(size);
+          js.v.resize(size);
+        }
+        merge_lists(lists[0], lists[1], lists[2],
+                    static_cast<std::uint32_t>(size), js.u.data(),
+                    js.v.data());
+        join_bucket_kernel(js.u.data(), js.v.data(), size,
+                           ranker.rank_sorted(a, b, c), ranker, groups, js,
+                           out);
+      }
+    }
   }
 }
 

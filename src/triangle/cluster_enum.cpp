@@ -58,10 +58,9 @@ std::vector<Triangle> enumerate_cluster(
   }
   if (!demands.empty()) router.route(demands);
 
-  // Proxy joins: the plane lays every copy out in bucket order and joins
-  // each bucket in place (bucket_join.hpp).  The ownership rule (report
-  // only at the proxy owning the triangle's group triple) keeps reports
-  // unique.
+  // Proxy joins: the plane merges each bucket from its group-pair lists
+  // and joins it (bucket_join.hpp).  The ownership rule (report only at
+  // the proxy owning the triangle's group triple) keeps reports unique.
   std::vector<Triangle> out;
   join_proxy_plane(edges, ranker, groups.data(), scratch.join, out);
   std::sort(out.begin(), out.end());

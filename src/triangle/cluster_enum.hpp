@@ -21,9 +21,9 @@
 ///
 /// Data plane (docs/triangle.md): proxies are identified by the O(1)
 /// combinatorial rank of their sorted triple (triple_rank.hpp), the
-/// cluster's edges are laid out once, straight into bucket order, as two
-/// flat endpoint arrays, and each bucket joins in place on the hybrid
-/// intersection kernels (bucket_join.hpp).  All ambient-sized
+/// cluster's edges are grouped once by group pair, and each non-empty
+/// bucket is merged from its pairs' lists and joined right away on the
+/// hybrid intersection kernels (bucket_join.hpp).  All ambient-sized
 /// scratch is epoch-stamped and reused across clusters and levels
 /// (TriangleScratch).  Tests check it against triangles_exact
 /// (graph/metrics.hpp) on the cluster's edge set.

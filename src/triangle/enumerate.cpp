@@ -19,6 +19,9 @@ namespace xd::triangle {
 
 namespace {
 
+/// Safety cap on E* recursion levels.
+constexpr int kMaxLevels = 40;
+
 /// Builds the subgraph induced by an edge subset (vertices = endpoints).
 struct EdgeSubgraph {
   Graph graph;
@@ -141,7 +144,7 @@ CongestEnumResult enumerate_congest(
     if (!g.is_loop(e)) current.push_back(e);
   }
 
-  for (int level = 0; level < prm.max_levels && current.size() >= 3; ++level) {
+  for (int level = 0; level < kMaxLevels && current.size() >= 3; ++level) {
     out.levels = level + 1;
 
     // --- 1. Expander decomposition of the surviving edges. ---

@@ -53,8 +53,6 @@ struct EnumParams {
   RouterBackend backend = RouterBackend::kCharged;
   /// GKS depth parameter (constant, per §3; both hierarchical backends).
   int router_depth = 2;
-  /// Safety cap on E* recursion levels.
-  int max_levels = 40;
   /// Concurrent cluster scheduler (scheduler.hpp), forwarded to the
   /// per-level expander decomposition as well.  0 = sequential: clusters
   /// run one after another and their rounds SUM.  >= 1 = the level's

@@ -15,9 +15,9 @@
 ///
 /// This replaces the seed's (a*p + b)*p + c hash key plus its O(p^3)
 /// unordered host table: host lookup becomes index arithmetic
-/// (cluster_vertices[rank % |V_i|]), and ordering the proxy plane by
-/// (rank, u, v) reproduces the seed's std::map bucket order exactly,
-/// because rank is monotone in the old key (both walk the same
+/// (cluster_vertices[rank % |V_i|]), and each edge's targets in rank
+/// order reproduce the seed's per-edge send order (the demand stream)
+/// exactly, because rank is monotone in the old key (both walk the same
 /// lexicographic order).
 
 #include <algorithm>

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <compare>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -320,104 +319,81 @@ TEST(IntersectConsumers, BucketJoinMatchesExact) {
   }
 }
 
-/// One laid-out plane, as (rank, u, v) per copy in layout order.
-struct LaidOutCopy {
-  std::uint32_t rank, u, v;
-  friend bool operator==(const LaidOutCopy&, const LaidOutCopy&) = default;
-  friend auto operator<=>(const LaidOutCopy&, const LaidOutCopy&) = default;
-};
-
-/// Reads the layout back: every bucket span, tagged with its rank.  Also
-/// checks the bucket index itself: non-empty spans, strictly ascending
-/// ranks, ends covering the whole plane.
-std::vector<LaidOutCopy> read_layout(const JoinScratch& js) {
-  std::vector<LaidOutCopy> out;
-  EXPECT_EQ(js.bucket_rank.size(), js.bucket_end.size());
-  EXPECT_EQ(js.u.size(), js.v.size());
-  std::uint32_t lo = 0;
-  for (std::size_t b = 0; b < js.bucket_rank.size(); ++b) {
-    EXPECT_LT(lo, js.bucket_end[b]) << "empty bucket " << b;
-    if (b > 0) {
-      EXPECT_LT(js.bucket_rank[b - 1], js.bucket_rank[b]);
+/// `count` distinct edges over n vertices, planted a triangle at a time
+/// (the last one possibly cut short), so most planes hold triangles.
+std::vector<std::pair<VertexId, VertexId>> planted_edges(std::size_t n,
+                                                         std::size_t count,
+                                                         Rng& rng) {
+  std::vector<std::pair<VertexId, VertexId>> out;
+  const auto add = [&](VertexId a, VertexId b) {
+    const std::pair e{std::min(a, b), std::max(a, b)};
+    if (out.size() < count &&
+        std::find(out.begin(), out.end(), e) == out.end()) {
+      out.push_back(e);
     }
-    for (std::uint32_t t = lo; t < js.bucket_end[b]; ++t) {
-      out.push_back(LaidOutCopy{js.bucket_rank[b], js.u[t], js.v[t]});
-    }
-    lo = js.bucket_end[b];
+  };
+  while (out.size() < count) {
+    const auto a = static_cast<VertexId>(rng.next_below(n));
+    const auto b = static_cast<VertexId>(rng.next_below(n));
+    const auto c = static_cast<VertexId>(rng.next_below(n));
+    if (a == b || b == c || a == c) continue;
+    add(a, b);
+    add(b, c);
+    add(a, c);
   }
-  EXPECT_EQ(lo, js.u.size());
   return out;
 }
 
-/// The layout's definition: one (rank, u, v) tuple per copy, sorted and
-/// deduplicated.
-std::vector<LaidOutCopy> reference_layout(
-    const std::vector<std::pair<VertexId, VertexId>>& edges,
-    const TripleRanker& ranker, const std::vector<std::uint32_t>& groups) {
-  std::vector<LaidOutCopy> tuples;
-  for (const auto& [a, b] : edges) {
-    for (std::uint32_t c = 0; c < ranker.p(); ++c) {
-      tuples.push_back(LaidOutCopy{
-          static_cast<std::uint32_t>(ranker.rank(groups[a], groups[b], c)),
-          std::min(a, b), std::max(a, b)});
-    }
-  }
-  std::sort(tuples.begin(), tuples.end());
-  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
-  return tuples;
-}
-
-// Every bucket span equals the sorted, deduplicated tuple reference, on
-// both layout branches: dense planes (copies × 4 ≥ R) merge group-pair
-// lists, sparse ones sort (rank, edge) keys.  p = 7 has R = 84 = 4 · 3p,
-// so 3 edges sit exactly on the dense side of the threshold and 2 just
-// below.
-TEST(BucketLayout, SpansMatchSortedTupleReference) {
+// The join against triangles_exact on the grid that once pinned the two
+// layout branches: p = 7 with 3 and 2 edges sits on both sides of the old
+// copies × 4 = R selector, p = 30/40 with few edges are former sparse
+// planes, and p = 2000 holds a handful of edges over R = C(2002,3) ≈ 1.3e9
+// triples -- a walk over the rank domain would take seconds there.  The
+// raw output must already be duplicate-free: every bucket is joined once
+// and every triangle is reported at its one owning proxy.
+TEST(BucketJoin, MatchesExactAcrossPlaneShapes) {
   struct Case {
     std::uint32_t p;
     std::size_t n, edges;
-    bool dense;
   };
-  const Case cases[] = {{7, 10, 3, true},    {7, 10, 2, false},
-                        {1, 30, 40, true},   {3, 60, 400, true},
-                        {30, 80, 30, false}, {40, 300, 60, false},
-                        {5, 200, 2000, true}};
+  const Case cases[] = {{7, 10, 3},   {7, 10, 2},   {1, 30, 40},
+                        {3, 60, 400}, {30, 80, 30}, {40, 300, 60},
+                        {5, 200, 2000}, {2000, 12, 9}};
   Rng rng(29);
+  std::size_t total = 0;
   for (const Case& cs : cases) {
     const TripleRanker ranker(cs.p);
-    ASSERT_EQ(cs.edges * cs.p * 4 >= ranker.count(), cs.dense);
     std::vector<std::uint32_t> groups(cs.n);
     for (auto& g : groups) {
       g = static_cast<std::uint32_t>(rng.next_below(cs.p));
     }
-    std::vector<std::pair<VertexId, VertexId>> pairs;
+    GraphBuilder builder(cs.n);
     std::vector<std::uint64_t> edges;
-    while (pairs.size() < cs.edges) {
-      const auto a = static_cast<VertexId>(rng.next_below(cs.n));
-      const auto b = static_cast<VertexId>(rng.next_below(cs.n));
-      if (a == b || std::find(edges.begin(), edges.end(), pack_edge(a, b)) !=
-                        edges.end()) {
-        continue;
-      }
-      pairs.emplace_back(a, b);
-      edges.push_back(pack_edge(a, b));
+    for (const auto& [a, b] : planted_edges(cs.n, cs.edges, rng)) {
+      builder.add_edge(a, b);
+      edges.push_back(pack_edge(b, a));
     }
     JoinScratch js;
-    layout_proxy_plane(edges, ranker, groups.data(), js);
+    std::vector<Triangle> got;
+    join_proxy_plane(edges, ranker, groups.data(), js, got);
     EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
-    // The branch taken touches only its own staging buffer.
-    EXPECT_EQ(js.keys.empty(), cs.dense) << "p=" << cs.p;
-    EXPECT_EQ(js.pair_edges.empty(), !cs.dense) << "p=" << cs.p;
-    EXPECT_EQ(read_layout(js), reference_layout(pairs, ranker, groups))
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+        << "duplicate report, p=" << cs.p;
+    EXPECT_EQ(got, triangles_exact(builder.build()))
         << "p=" << cs.p << " edges=" << cs.edges;
+    // Bucket buffers hold one bucket, never the p copies of the plane.
+    EXPECT_LE(js.u.size(), edges.size()) << "p=" << cs.p;
+    total += got.size();
   }
+  EXPECT_GT(total, 100u);  // the grid is not vacuous
 }
 
-// Input order and repeats do not show: every edge twice, shuffled, lays
-// out and joins exactly like the sorted unique list, on both branches.
-TEST(BucketLayout, ShuffledRepeatsMatchSortedUniqueInput) {
+// Input order and repeats do not show: every edge twice, shuffled, joins
+// exactly like the sorted unique list, raw output order included.
+TEST(BucketJoin, ShuffledRepeatsMatchSortedUniqueInput) {
   Rng rng(31);
-  for (const std::uint32_t p : {3u, 9u}) {  // dense, then sparse
+  for (const std::uint32_t p : {3u, 9u}) {
     const TripleRanker ranker(p);
     const std::size_t n = 60;
     std::vector<std::uint32_t> groups(n);
@@ -443,18 +419,16 @@ TEST(BucketLayout, ShuffledRepeatsMatchSortedUniqueInput) {
     join_proxy_plane(unique_edges, ranker, groups.data(), want_js, want);
     join_proxy_plane(repeated, ranker, groups.data(), got_js, got);
     EXPECT_EQ(repeated, unique_edges) << "p=" << p;
-    EXPECT_EQ(got_js.u, want_js.u) << "p=" << p;
-    EXPECT_EQ(got_js.v, want_js.v) << "p=" << p;
-    EXPECT_EQ(got_js.bucket_rank, want_js.bucket_rank) << "p=" << p;
-    EXPECT_EQ(got_js.bucket_end, want_js.bucket_end) << "p=" << p;
     EXPECT_EQ(got, want) << "p=" << p;
     EXPECT_FALSE(want.empty()) << "p=" << p;
   }
 }
 
-// Offsets and ranks are u32: a rank domain or a plane that does not fit
-// is a CheckError raised before any layout buffer is allocated.
-TEST(BucketLayout, OversizedPlaneIsACheckError) {
+// The plane is capped below 2^32 copies (bucket merge counts and run
+// offsets are u32) and below 2^32 rank-domain triples (which bounds the
+// O(p^2) pair tables): either overflow is a CheckError raised before any
+// plane buffer is allocated.
+TEST(BucketJoin, OversizedPlaneIsACheckError) {
   {
     const TripleRanker ranker(3000);  // R = C(3002, 3) ≈ 4.5e9
     ASSERT_GE(ranker.count(), std::uint64_t{1} << 32);
@@ -484,11 +458,11 @@ TEST(BucketLayout, OversizedPlaneIsACheckError) {
                            static_cast<VertexId>(i + 1));
     }
     JoinScratch js;
-    EXPECT_THROW(layout_proxy_plane(edges, ranker, groups.data(), js),
+    std::vector<Triangle> out;
+    EXPECT_THROW(join_proxy_plane(edges, ranker, groups.data(), js, out),
                  CheckError);
     EXPECT_EQ(js.pair_ends.capacity(), 0u);
     EXPECT_EQ(js.pair_edges.capacity(), 0u);
-    EXPECT_EQ(js.keys.capacity(), 0u);
     EXPECT_EQ(js.u.capacity(), 0u);
   }
 }
