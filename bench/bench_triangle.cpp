@@ -334,7 +334,8 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
   Table t("E4d-large: join phase on the hybrid kernels",
           {"component", "work", "triangles", "kernel ms", "exact?"});
   t.add_row({"bucket join",
-             Table::cell(static_cast<std::uint64_t>(js.u.size())),
+             Table::cell(static_cast<std::uint64_t>(
+                 triangle::BucketScratch::for_thread().u.size())),
              Table::cell(bucket_tris), Table::cell(bucket_ms),
              bucket_exact ? "yes" : "NO"});
   t.add_row({"csr join",

@@ -27,6 +27,22 @@ void set_spawn_fault_hook_for_testing(std::function<void(int)> hook) {
 namespace {
 
 using SlotBody = std::function<void(int)>;
+using ChunkBody = std::function<void(std::size_t)>;
+
+/// The nested width of the calling thread (nested_width()).
+thread_local int t_width = 1;
+
+/// Sets the calling thread's nested width for one scope.
+class WidthScope {
+ public:
+  explicit WidthScope(int width) : saved_(std::exchange(t_width, width)) {}
+  ~WidthScope() { t_width = saved_; }
+  WidthScope(const WidthScope&) = delete;
+  WidthScope& operator=(const WidthScope&) = delete;
+
+ private:
+  int saved_;
+};
 
 /// The sched.spawn site, hit as worker slot `w` is handed out: the hook
 /// runs first, then an armed rule may fail the hand-off.
@@ -38,36 +54,42 @@ void hand_off_fault(FaultPlane& faults, int w) {
   }
 }
 
-/// Runs slot `w` behind the sched.stall / sched.throw sites and returns its
-/// exception (null on success), so every slot of a dispatch runs even when
-/// an earlier one threw.
-std::exception_ptr run_slot(const SlotBody& body, int w, bool sched_armed) {
-  try {
-    if (sched_armed) {
-      FaultPlane& faults = FaultPlane::instance();
-      if (faults.should_fire("sched.stall", static_cast<std::uint64_t>(w))) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      if (faults.should_fire("sched.throw", static_cast<std::uint64_t>(w))) {
-        throw CheckError("injected fault: sched.throw in worker " +
-                         std::to_string(w));
-      }
-    }
-    body(w);
-  } catch (...) {
-    return std::current_exception();
+/// The sched.stall / sched.throw sites, hit as slot `w` starts.
+void slot_faults(int w) {
+  FaultPlane& faults = FaultPlane::instance();
+  if (faults.should_fire("sched.stall", static_cast<std::uint64_t>(w))) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  return nullptr;
+  if (faults.should_fire("sched.throw", static_cast<std::uint64_t>(w))) {
+    throw CheckError("injected fault: sched.throw in worker " +
+                     std::to_string(w));
+  }
 }
 
-/// The process-wide pool of parked worker threads behind every scheduler.
-/// It grows lazily to the widest dispatch ever requested and serves one
-/// dispatch at a time; the dispatching thread hands out slots, then waits
-/// at the barrier without running any itself, so its thread_local state
-/// never sees item work.  A dispatch that finds the pool busy -- a nested
-/// epoch started from inside an item, or another host thread's epoch --
-/// runs its slots on the calling thread in slot order instead; the
-/// determinism contract makes the outputs identical either way.
+/// One parallel region: chunks [0, chunks) of `body`, claimed from `next`
+/// by the posting thread and by at most `helper_cap` pool workers.
+struct Region {
+  const ChunkBody* body = nullptr;
+  std::size_t chunks = 0;
+  int width = 1;       ///< nested width the chunks run with
+  int helper_cap = 0;  ///< pool workers that may join
+  std::atomic<std::size_t> next{0};
+  // Guarded by the pool's mutex:
+  int helpers = 0;  ///< pool workers inside run_chunks
+  std::exception_ptr error;
+  std::condition_variable left;  ///< the last helper left
+};
+
+/// The process-wide pool of parked worker threads behind every scheduler
+/// and every nested region.  Regions are posted to an open list; parked
+/// workers join any open region that has unclaimed chunks and room for a
+/// helper, and claim chunks from its cursor until none are left.  The
+/// posting thread claims chunks too, then closes the region (no worker
+/// joins it after that) and waits only for the helpers already inside.
+/// Any number of regions may be open at once: nested regions, regions
+/// posted from chunks, and epochs from several host threads.  A worker
+/// inside a region can post its own (a nested epoch); it waits only on
+/// helpers that are running chunks, so no wait cycle can form.
 class WorkerPool {
  public:
   static WorkerPool& instance() {
@@ -87,42 +109,39 @@ class WorkerPool {
     for (auto& t : threads_) t.join();
   }
 
-  /// Runs body(w) for every slot w in [0, workers) and returns after all
-  /// complete, rethrowing the first exception.  A failed hand-off waits
-  /// for the slots already handed out, then rethrows the hand-off error
-  /// (their own exceptions are dropped: the epoch did not run at full
-  /// width, so its partial results are void anyway).
+  /// Runs every chunk of `r` -- with helpers when r.helper_cap > 0 -- and
+  /// returns after all complete, rethrowing the first exception.
+  void run(Region& r) {
+    const bool post = r.helper_cap > 0 && r.chunks > 1;
+    if (post) {
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        while (threads_.size() < static_cast<std::size_t>(r.helper_cap)) {
+          threads_.emplace_back([this] { worker_loop(); });
+        }
+        open_.push_back(&r);
+      }
+      wake_.notify_all();
+    }
+    run_chunks(r);
+    if (post) {
+      std::unique_lock<std::mutex> lock(mu_);
+      open_.erase(std::find(open_.begin(), open_.end(), &r));
+      r.left.wait(lock, [&] { return r.helpers == 0; });
+    }
+    if (r.error) std::rethrow_exception(r.error);
+  }
+
+  /// Runs body(w) for every slot w in [0, workers) as one region and
+  /// returns after all complete, rethrowing the first exception.  A failed
+  /// hand-off runs the slots already handed out, then rethrows the
+  /// hand-off error (their own exceptions are dropped: the epoch did not
+  /// run at full width, so its partial results are void anyway).
   void dispatch(int workers, const SlotBody& body) {
     FaultPlane& faults = FaultPlane::instance();
     const bool sched_armed = faults.armed(FaultCategory::kSched);
-    bool idle = false;
-    if (!busy_.compare_exchange_strong(idle, true,
-                                       std::memory_order_acquire)) {
-      std::exception_ptr first_error;
-      for (int w = 0; w < workers; ++w) {
-        if (sched_armed) hand_off_fault(faults, w);
-        std::exception_ptr e = run_slot(body, w, sched_armed);
-        if (e && !first_error) first_error = std::move(e);
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      return;
-    }
-    struct Release {
-      std::atomic<bool>& busy;
-      ~Release() { busy.store(false, std::memory_order_release); }
-    } release{busy_};
-
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      while (threads_.size() < static_cast<std::size_t>(workers)) {
-        threads_.emplace_back([this] { worker_loop(); });
-      }
-      body_ = &body;
-      sched_armed_ = sched_armed;
-      posted_ = taken_ = finished_ = 0;
-    }
-    // Slot-by-slot hand-off decisions, then one release of every slot that
-    // passed: slots 0..handed-1 run even when slot `handed` failed.
+    // Slot-by-slot hand-off decisions: slots 0..handed-1 run even when
+    // slot `handed` failed.
     std::exception_ptr hand_off_error;
     int handed = workers;
     if (sched_armed) {
@@ -135,60 +154,90 @@ class WorkerPool {
         }
       }
     }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      posted_ = handed;
+    const ChunkBody slot = [&](std::size_t c) {
+      const int w = static_cast<int>(c);
+      if (sched_armed) slot_faults(w);
+      body(w);
+    };
+    Region r;
+    r.body = &slot;
+    r.chunks = static_cast<std::size_t>(handed);
+    r.width = workers;
+    r.helper_cap = workers - 1;
+    try {
+      run(r);
+    } catch (...) {
+      if (!hand_off_error) throw;
     }
-    for (int w = 0; w < handed; ++w) wake_.notify_one();
-
-    std::unique_lock<std::mutex> lock(mu_);
-    done_.wait(lock, [&] { return finished_ == posted_; });
-    body_ = nullptr;
-    std::exception_ptr body_error = std::exchange(error_, nullptr);
-    lock.unlock();
     if (hand_off_error) std::rethrow_exception(hand_off_error);
-    if (body_error) std::rethrow_exception(body_error);
   }
 
  private:
   WorkerPool() = default;
 
-  void worker_loop() {
-    std::unique_lock<std::mutex> lock(mu_);
+  /// Claims and runs chunks of `r` until its cursor is exhausted, at the
+  /// region's nested width; records the first exception.
+  void run_chunks(Region& r) {
+    const WidthScope scope(r.width);
     for (;;) {
-      wake_.wait(lock, [&] { return stop_ || taken_ < posted_; });
-      if (stop_) return;
-      const int w = taken_++;
-      const SlotBody& body = *body_;
-      const bool sched_armed = sched_armed_;
-      lock.unlock();
-      std::exception_ptr e = run_slot(body, w, sched_armed);
-      lock.lock();
-      if (e && !error_) error_ = std::move(e);
-      if (++finished_ == posted_) {
-        lock.unlock();
-        done_.notify_one();
-        lock.lock();
+      const std::size_t c = r.next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= r.chunks) return;
+      try {
+        (*r.body)(c);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (!r.error) r.error = std::current_exception();
       }
     }
   }
 
-  std::atomic<bool> busy_{false};  ///< a host thread owns the pool
+  /// An open region with unclaimed chunks and room for a helper.
+  Region* joinable() const {
+    for (Region* r : open_) {
+      if (r->helpers < r->helper_cap &&
+          r->next.load(std::memory_order_relaxed) < r->chunks) {
+        return r;
+      }
+    }
+    return nullptr;
+  }
+
+  void worker_loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      Region* r = nullptr;
+      wake_.wait(lock, [&] { return stop_ || (r = joinable()) != nullptr; });
+      if (stop_) return;
+      ++r->helpers;
+      lock.unlock();
+      run_chunks(*r);
+      lock.lock();
+      // Notified under the lock: the poster cannot return (and destroy
+      // r) before this call is done with it.
+      if (--r->helpers == 0) r->left.notify_one();
+    }
+  }
+
   std::mutex mu_;
-  std::condition_variable wake_;  ///< workers: a slot was handed out
-  std::condition_variable done_;  ///< dispatcher: a slot finished
-  // The current dispatch, guarded by mu_.
-  const SlotBody* body_ = nullptr;
-  bool sched_armed_ = false;
-  int posted_ = 0;    ///< slots handed out
-  int taken_ = 0;     ///< slots claimed by a worker
-  int finished_ = 0;  ///< slots completed
-  std::exception_ptr error_;
+  std::condition_variable wake_;  ///< workers: a region was posted
+  std::vector<Region*> open_;     ///< joinable regions, oldest first
   bool stop_ = false;
-  std::vector<std::thread> threads_;  ///< grown under mu_ by the dispatcher
+  std::vector<std::thread> threads_;  ///< grown under mu_ by posters
 };
 
 }  // namespace
+
+int nested_width() { return t_width; }
+
+void parallel_chunks(std::size_t chunks, std::uint64_t work,
+                     const ChunkBody& fn) {
+  Region r;
+  r.body = &fn;
+  r.chunks = chunks;
+  r.width = t_width;
+  r.helper_cap = work >= kNestedWorkFloor ? t_width - 1 : 0;
+  WorkerPool::instance().run(r);
+}
 
 void EpochScheduler::set_threads(int threads) {
   XD_CHECK_MSG(threads >= 1, "scheduler thread count must be >= 1");
@@ -201,11 +250,13 @@ void EpochScheduler::run(std::size_t n,
       static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(threads_),
                                              n ? n : 1));
   if (workers <= 1) {
+    const WidthScope scope(threads_);
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   std::atomic<std::size_t> next{0};
   WorkerPool::instance().dispatch(workers, [&](int /*w*/) {
+    const WidthScope scope(threads_);
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;

@@ -19,8 +19,15 @@
 /// never change what any item computes; callers merge the per-item outputs
 /// in item-index order, so the combined result is bit-identical at any
 /// thread count.  Round accounting is covered in docs/rounds.md.
+///
+/// Nested regions (parallel_chunks) carry the same contract one level
+/// down: one item's work is split into chunks fixed by the input alone,
+/// the item's thread and idle pool workers run them, and callers merge
+/// chunk outputs in chunk order.  That is how a level with one giant
+/// cluster still uses every thread of its epoch.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "congest/ledger.hpp"
@@ -42,17 +49,25 @@ void set_spawn_fault_hook_for_testing(std::function<void(int)> hook);
 }  // namespace detail
 
 /// Runs batches ("epochs") of independent work items on a pool of host
-/// threads.  Work-sharing: workers pull the next unclaimed item index from
-/// a shared cursor, so one oversized component keeps the remaining workers
-/// busy on the rest of the level instead of idling behind it.
+/// threads.  Work-sharing: the epoch's slots pull the next unclaimed item
+/// index from a shared cursor, so one oversized component keeps the
+/// remaining threads busy on the rest of the level instead of idling
+/// behind it.
 ///
 /// Every scheduler dispatches to one process-wide pool of parked worker
-/// threads, grown lazily to the widest epoch ever requested; an epoch
-/// costs a wake-up and a barrier, not a thread spawn and join.  The caller
-/// waits at the barrier and runs no items itself.  An epoch started from
-/// inside an item, or from a second host thread while the pool is busy,
-/// runs all its worker slots on the calling thread in slot order -- same
-/// results, by the determinism contract above.
+/// threads, grown lazily to the widest epoch ever requested (minus the
+/// caller); an epoch costs a wake-up and a barrier, not a thread spawn and
+/// join.  A dispatch is help-first: the calling thread claims slots like
+/// any parked worker, and waits only for slots a worker already claimed.
+/// Epochs started from inside an item, or from several host threads at
+/// once, take whichever workers are parked -- possibly none, in which case
+/// the caller runs every slot itself -- with the same results, by the
+/// determinism contract above.
+///
+/// Each item runs with the scheduler's thread count as its *nested width*
+/// (nested_width()), including the items of a one-item epoch, which run
+/// inline on the calling thread.  parallel_chunks() inside the item may
+/// then hand chunks to workers left parked by the rest of the epoch.
 class EpochScheduler {
  public:
   explicit EpochScheduler(int threads = 1) { set_threads(threads); }
@@ -88,6 +103,32 @@ class EpochScheduler {
  private:
   int threads_ = 1;
 };
+
+/// Work (in elementary steps, roughly one per vertex slot, edge copy or
+/// scalar update) below which parallel_chunks() runs inline: at this size
+/// a region costs less than waking a parked worker.
+inline constexpr std::uint64_t kNestedWorkFloor = std::uint64_t{1} << 15;
+
+/// The thread count of the innermost epoch whose item (or nested chunk)
+/// the calling thread is running; 1 outside any epoch.
+[[nodiscard]] int nested_width();
+
+/// Nested region: runs fn(c) for every chunk c in [0, chunks) and returns
+/// after all complete.  The caller defines the chunks (their boundaries
+/// must depend on the input only, never on the thread count) and states
+/// the region's total `work`.  The calling thread claims chunks from a
+/// shared cursor, and so do up to nested_width() - 1 parked pool workers;
+/// the caller never waits on a worker busy with other work, only on chunks
+/// a helper already claimed.  Chunks run with the caller's nested width.
+///
+/// Runs inline, chunks in order, when nested_width() is 1 (outside any
+/// epoch, or at scheduler_threads 0 and 1), when there is one chunk, or
+/// when work < kNestedWorkFloor.  fn must write chunk-local state only;
+/// callers that merge chunk outputs in chunk order get bit-identical
+/// results at any width.  Every chunk runs; the first exception thrown
+/// is rethrown once all of them finished.
+void parallel_chunks(std::size_t chunks, std::uint64_t work,
+                     const std::function<void(std::size_t)>& fn);
 
 /// The one place an epoch driver picks how an epoch runs -- both Theorem 1
 /// drivers and enumerate_congest's cluster stage go through here.

@@ -61,6 +61,13 @@ class Graph {
     return {neighbors_.data() + offsets_[v], degree(v)};
   }
 
+  /// v's neighbors in ascending id order (parallel edges and loops
+  /// repeat): the neighbor-sorted slot index behind slot_of.  Exactly
+  /// deg(v) entries, the multiset of neighbors(v).
+  [[nodiscard]] std::span<const VertexId> sorted_neighbors(VertexId v) const {
+    return {sorted_nbrs_.data() + offsets_[v], degree(v)};
+  }
+
   /// Edge ids parallel to neighbors(v).
   [[nodiscard]] std::span<const EdgeId> incident_edges(VertexId v) const {
     return {edge_ids_.data() + offsets_[v], degree(v)};

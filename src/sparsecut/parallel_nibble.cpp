@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "congest/scheduler.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
 #include "util/check.hpp"
@@ -66,28 +66,42 @@ ParallelNibbleResult parallel_nibble(const G& g, const NibbleParams& prm,
   ledger.charge(diameter + static_cast<std::uint64_t>(prm.ell) + 1,
                 "ParallelNibble/generate");
 
-  std::vector<RandomNibbleResult> runs;
-  runs.reserve(k);
-  for (std::uint64_t i = 0; i < k; ++i) {
-    runs.push_back(random_nibble(g, prm, rng));
+  // Every instance's (start, scale) is drawn first, in instance order:
+  // exactly the draws k sequential random_nibble calls make.  The k
+  // ApproximateNibble runs then go out as nested chunks, each also listing
+  // the edges its instance participates in (incident to a vertex that
+  // ever carried truncated mass, Definition 2), once each: an edge with
+  // both endpoints touched is listed from its smaller endpoint.
+  std::vector<RandomNibbleResult> runs(k);
+  for (RandomNibbleResult& run : runs) {
+    run.start = sample_by_degree(g, rng);
+    run.scale = rng.next_nibble_scale(prm.ell);
   }
+  std::vector<std::vector<EdgeId>> participating(k);
+  congest::parallel_chunks(k, k * total_volume, [&](std::size_t i) {
+    RandomNibbleResult& run = runs[i];
+    run.inner = approximate_nibble(g, run.start, prm, run.scale);
+    const std::vector<VertexId>& touched = run.inner.touched;
+    for (const VertexId v : touched) {
+      g.for_each_live_incident(v, [&](EdgeId e, VertexId w) {
+        if (w > v || !std::binary_search(touched.begin(), touched.end(), w)) {
+          participating[i].push_back(e);
+        }
+      });
+    }
+  });
   out.instances = k;
-
-  // --- Overlap guard: count per-edge participation across instances.  An
-  // edge participates in an instance iff it is incident to a vertex that
-  // ever carried truncated mass (Definition 2). ---
-  std::unordered_map<EdgeId, int> participation;
-  int max_overlap = 0;
-  for (const auto& run : runs) {
-    std::unordered_set<EdgeId> mine;
-    for (VertexId v : run.inner.touched) {
-      g.for_each_live_incident(v, [&](EdgeId e, VertexId) { mine.insert(e); });
-    }
-    for (EdgeId e : mine) {
-      max_overlap = std::max(max_overlap, ++participation[e]);
-    }
+  // The overlap guard: the most instances any one edge participates in,
+  // counted as the longest run of equal ids in the sorted concatenation.
+  std::vector<EdgeId> all;
+  for (const auto& mine : participating) {
+    all.insert(all.end(), mine.begin(), mine.end());
   }
-  out.max_overlap = max_overlap;
+  std::sort(all.begin(), all.end());
+  for (std::size_t i = 0, j = 0; i < all.size(); i = j) {
+    while (j < all.size() && all[j] == all[i]) ++j;
+    out.max_overlap = std::max(out.max_overlap, static_cast<int>(j - i));
+  }
 
   // --- Multiplexed execution cost: slowest instance x observed overlap. ---
   std::uint64_t max_instance = 1;
@@ -99,11 +113,11 @@ ParallelNibbleResult parallel_nibble(const G& g, const NibbleParams& prm,
   }
   ledger.count_messages(messages);
   ledger.charge(max_instance * static_cast<std::uint64_t>(
-                                   std::max(1, std::min(max_overlap,
+                                   std::max(1, std::min(out.max_overlap,
                                                         prm.overlap_cap))),
                 "ParallelNibble/nibbles");
 
-  if (max_overlap > prm.overlap_cap) {
+  if (out.max_overlap > prm.overlap_cap) {
     // Endpoints broadcast the abort token: O(D).
     ledger.charge(diameter + 1, "ParallelNibble/select");
     out.overlap_aborted = true;

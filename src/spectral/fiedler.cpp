@@ -42,7 +42,7 @@ std::optional<SpectralCut> fiedler_sweep(const Graph& g,
   };
 
   SpectralCut best;
-  best.lambda2 = iterate.lambda;
+  best.lambda2 = iterate.lambda2();
   best.conductance = std::numeric_limits<double>::infinity();
   for (bool negate : {false, true}) {
     const Sweep sw = sweep_cut(g, shifted(negate));

@@ -24,7 +24,8 @@ namespace xd::spectral {
 struct SpectralCut {
   VertexSet cut;          ///< smaller-volume side of the best sweep prefix
   double conductance = 0; ///< its conductance
-  double lambda2 = 0;     ///< λ₂ estimate: the iterate's Rayleigh quotient
+  double lambda2 = 0;     ///< λ₂ estimate: PowerIterate::lambda2(), the
+                          ///< value lazy_second_eigenvalue returns
 };
 
 /// Runs lazy_power_iteration + sweep.  Returns nullopt for graphs with < 2

@@ -26,9 +26,37 @@ namespace xd::spectral {
 /// edge deposits back -- without materializing G{S}.
 
 /// One dense lazy-walk step: returns M p.  Dense vectors are indexed by the
-/// ambient id space (p must be zero off the active set of a view).
+/// ambient id space (p must be zero off the active set of a view).  Throws
+/// CheckError when p puts mass on an isolated vertex.  A view pushes each
+/// sender's mass along its slots; a Graph gathers it with gather::at, the
+/// same sums in the same order.
 template <GraphAccess G>
 std::vector<double> lazy_step(const G& g, const std::vector<double>& p);
+
+/// The one Graph SpMV, shared by lazy_step<Graph> and the power loop
+/// (mixing.hpp), which fuses its own per-vertex scaling around it and runs
+/// it over vertex chunks (congest::parallel_chunks).
+namespace gather {
+
+/// (M p)(u), given share[w] = p[w] / (2 deg w) for every sender w: the
+/// shares over sorted_neighbors(u), with p[u] / 2 added before the first
+/// neighbor >= u.  The push loop deposits into u in ascending sender order
+/// -- u's own lazy half, then its loop slots, at sender u -- and the
+/// senders of u, ascending, are exactly the multiset sorted_neighbors(u).
+/// So the sum is the push loop's, bit for bit.
+inline double at(const Graph& g, const double* p, const double* share,
+                 VertexId u) {
+  const auto nbrs = g.sorted_neighbors(u);
+  const VertexId* it = nbrs.data();
+  const VertexId* end = it + nbrs.size();
+  double acc = 0.0;
+  for (; it != end && *it < u; ++it) acc += share[*it];
+  acc += p[u] / 2.0;
+  for (; it != end; ++it) acc += share[*it];
+  return acc;
+}
+
+}  // namespace gather
 
 /// t dense lazy-walk steps from the distribution `p0`.
 template <GraphAccess G>

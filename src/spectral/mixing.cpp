@@ -3,10 +3,32 @@
 #include <algorithm>
 #include <cmath>
 
+#include "congest/scheduler.hpp"
 #include "spectral/lazy_walk.hpp"
 #include "util/check.hpp"
 
 namespace xd::spectral {
+
+namespace {
+
+/// Vertex chunk boundaries {0, ..., n} for the power loop: each chunk
+/// holds about 2^14 adjacency slots, so the cuts depend on g alone.
+std::vector<VertexId> chunk_bounds(const Graph& g) {
+  constexpr std::uint32_t kChunkSlots = 1u << 14;
+  const auto n = static_cast<VertexId>(g.num_vertices());
+  std::vector<VertexId> bounds{0};
+  std::uint32_t next_cut = kChunkSlots;
+  for (VertexId v = 0; v < n; ++v) {
+    if (g.slot_base(v) >= next_cut) {
+      bounds.push_back(v);
+      next_cut = g.slot_base(v) + kChunkSlots;
+    }
+  }
+  bounds.push_back(n);
+  return bounds;
+}
+
+}  // namespace
 
 PowerIterate lazy_power_iteration(const Graph& g, int iterations) {
   const std::size_t n = g.num_vertices();
@@ -17,7 +39,11 @@ PowerIterate lazy_power_iteration(const Graph& g, int iterations) {
   // Work with y = D^{-1/2} x; N = D^{-1/2} M D^{1/2} is symmetric with top
   // eigenvector proportional to D^{1/2} 1.  Deflate it and power-iterate.
   std::vector<double> top(n);
-  for (VertexId v = 0; v < n; ++v) top[v] = std::sqrt(g.degree(v) / vol);
+  std::vector<double> sqrt_deg(n);
+  for (VertexId v = 0; v < n; ++v) {
+    top[v] = std::sqrt(g.degree(v) / vol);
+    sqrt_deg[v] = std::sqrt(static_cast<double>(g.degree(v)));
+  }
 
   PowerIterate out;
   std::vector<double>& y = out.y;
@@ -27,44 +53,58 @@ PowerIterate lazy_power_iteration(const Graph& g, int iterations) {
     y[v] = ((v * 2654435761u) % 1000) / 1000.0 - 0.5;
   }
 
-  auto deflate = [&](std::vector<double>& vec) {
-    double dot = 0;
-    for (std::size_t i = 0; i < n; ++i) dot += vec[i] * top[i];
-    for (std::size_t i = 0; i < n; ++i) vec[i] -= dot * top[i];
-  };
-  auto norm = [&](const std::vector<double>& vec) {
-    double s = 0;
-    for (double x : vec) s += x * x;
-    return std::sqrt(s);
-  };
-  // N y: x = D^{1/2} y, x' = M x, y' = D^{-1/2} x'.
-  auto apply = [&](const std::vector<double>& vec) {
-    std::vector<double> x(n);
-    for (VertexId v = 0; v < n; ++v) {
-      x[v] = vec[v] * std::sqrt(static_cast<double>(g.degree(v)));
-    }
-    x = lazy_step(g, x);
-    for (VertexId v = 0; v < n; ++v) {
-      const double d = g.degree(v);
-      x[v] = d > 0 ? x[v] / std::sqrt(d) : 0.0;
-    }
-    return x;
-  };
+  // Every sum below runs sequentially in index order; the per-vertex maps
+  // around the SpMV run as vertex chunks (congest::parallel_chunks), so
+  // the iterate is bit-identical at any nested width.
+  double dot = 0;
+  for (std::size_t i = 0; i < n; ++i) dot += y[i] * top[i];
+  double sum_sq = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] -= dot * top[i];
+    sum_sq += y[i] * y[i];
+  }
 
-  deflate(y);
+  const auto bounds = chunk_bounds(g);
+  const std::size_t chunks = bounds.size() - 1;
+  const std::uint64_t work = n + g.volume();
+  std::vector<double> x(n);
+  std::vector<double> share(n);
+  std::vector<double> next(n);
   for (int it = 0; it < iterations; ++it) {
-    const double len = norm(y);
+    const double len = std::sqrt(sum_sq);
     if (len < 1e-300) {
       out.collapsed = true;
       break;
     }
-    for (double& x : y) x /= len;
-    std::vector<double> next = apply(y);
-    deflate(next);
-    double dot = 0;
-    for (std::size_t i = 0; i < n; ++i) dot += next[i] * y[i];
-    out.lambda = dot;
-    y = std::move(next);
+    // N y: x = D^{1/2} y, x' = M x, y' = D^{-1/2} x'.
+    congest::parallel_chunks(chunks, work, [&](std::size_t c) {
+      for (VertexId v = bounds[c]; v < bounds[c + 1]; ++v) {
+        y[v] /= len;
+        x[v] = y[v] * sqrt_deg[v];
+        const double deg = g.degree(v);
+        share[v] = deg > 0 ? x[v] / (2.0 * deg) : 0.0;
+      }
+    });
+    congest::parallel_chunks(chunks, work, [&](std::size_t c) {
+      for (VertexId u = bounds[c]; u < bounds[c + 1]; ++u) {
+        const double d = g.degree(u);
+        next[u] =
+            d > 0 ? gather::at(g, x.data(), share.data(), u) / sqrt_deg[u]
+                  : 0.0;
+      }
+    });
+    // Deflate, then the Rayleigh quotient and the next norm in one pass.
+    dot = 0;
+    for (std::size_t i = 0; i < n; ++i) dot += next[i] * top[i];
+    double lambda = 0;
+    sum_sq = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      next[i] -= dot * top[i];
+      lambda += next[i] * y[i];
+      sum_sq += next[i] * next[i];
+    }
+    out.lambda = lambda;
+    std::swap(y, next);
   }
   return out;
 }

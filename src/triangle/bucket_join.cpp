@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "congest/scheduler.hpp"
 #include "triangle/intersect.hpp"
 #include "util/check.hpp"
 
@@ -10,6 +11,9 @@ namespace xd::triangle {
 namespace {
 
 constexpr std::uint64_t kU32Limit = std::uint64_t{1} << 32;
+
+/// Most chunks one bucket walk splits into.
+constexpr std::uint64_t kWalkChunks = 64;
 
 /// Above every packed edge (min < max, so never all ones): closes each
 /// pair list, and stands in for a bucket's missing lists.
@@ -57,7 +61,7 @@ void merge_lists(const std::uint64_t* pa, const std::uint64_t* pb,
 void join_bucket_kernel(const std::uint32_t* us, const std::uint32_t* vals,
                         std::size_t bn, std::uint64_t rank,
                         const TripleRanker& ranker,
-                        const std::uint32_t* groups, JoinScratch& js,
+                        const std::uint32_t* groups, BucketScratch& js,
                         std::vector<Triangle>& out) {
   js.run_u.clear();
   js.run_begin.clear();
@@ -113,6 +117,11 @@ void join_bucket_kernel(const std::uint32_t* us, const std::uint32_t* vals,
 
 }  // namespace
 
+BucketScratch& BucketScratch::for_thread() {
+  thread_local BucketScratch scratch;
+  return scratch;
+}
+
 void join_proxy_plane(std::vector<std::uint64_t>& edges,
                       const TripleRanker& ranker, const std::uint32_t* groups,
                       JoinScratch& js, std::vector<Triangle>& out) {
@@ -157,7 +166,8 @@ void join_proxy_plane(std::vector<std::uint64_t>& edges,
   // walk goes from each non-empty pair {x, y} to its p triples {x, y, g}
   // and takes a bucket only from the first non-empty pair it lists: each
   // bucket is merged and joined exactly once, O(p^2 + copies) in all.
-  for (std::uint32_t x = 0; x < p; ++x) {
+  const auto walk = [&](std::uint32_t x, BucketScratch& bs,
+                        std::vector<Triangle>& tris) {
     for (std::uint32_t y = x; y < p; ++y) {
       const std::size_t k = std::size_t{x} * p + y;
       if (ends[k] == list_begin(k)) continue;
@@ -182,18 +192,46 @@ void join_proxy_plane(std::vector<std::uint64_t>& edges,
         if (!add(a, b) || (c != b && !add(a, c)) || (a != b && !add(b, c))) {
           continue;
         }
-        if (js.u.size() < size) {
-          js.u.resize(size);
-          js.v.resize(size);
+        if (bs.u.size() < size) {
+          bs.u.resize(size);
+          bs.v.resize(size);
         }
         merge_lists(lists[0], lists[1], lists[2],
-                    static_cast<std::uint32_t>(size), js.u.data(),
-                    js.v.data());
-        join_bucket_kernel(js.u.data(), js.v.data(), size,
-                           ranker.rank_sorted(a, b, c), ranker, groups, js,
-                           out);
+                    static_cast<std::uint32_t>(size), bs.u.data(),
+                    bs.v.data());
+        join_bucket_kernel(bs.u.data(), bs.v.data(), size,
+                           ranker.rank_sorted(a, b, c), ranker, groups, bs,
+                           tris);
       }
     }
+  };
+
+  // Chunks are contiguous x-ranges of about equal weight -- pair {x, y}'s
+  // edges reach p buckets, its empty-pair scan costs one step per y --
+  // at most kWalkChunks of them, cut by the plane alone.
+  const std::uint64_t total =
+      std::uint64_t{p} * (p + 1) / 2 + std::uint64_t{p} * edges.size();
+  std::vector<std::uint32_t> x_bounds{0};
+  std::uint64_t cum = 0;
+  for (std::uint32_t x = 0; x + 1 < p; ++x) {
+    cum += p - x;
+    for (std::uint32_t y = x; y < p; ++y) {
+      const std::size_t k = std::size_t{x} * p + y;
+      cum += std::uint64_t{p} * (ends[k] - list_begin(k));
+    }
+    if (cum * kWalkChunks >= total * x_bounds.size()) x_bounds.push_back(x + 1);
+  }
+  x_bounds.push_back(p);
+  const std::size_t chunks = x_bounds.size() - 1;
+  std::vector<std::vector<Triangle>> chunk_tris(chunks);
+  congest::parallel_chunks(chunks, copies, [&](std::size_t c) {
+    BucketScratch& bs = BucketScratch::for_thread();
+    for (std::uint32_t x = x_bounds[c]; x < x_bounds[c + 1]; ++x) {
+      walk(x, bs, chunk_tris[c]);
+    }
+  });
+  for (const auto& tris : chunk_tris) {
+    out.insert(out.end(), tris.begin(), tris.end());
   }
 }
 

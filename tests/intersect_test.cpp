@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "congest/scheduler.hpp"
 #include "graph/metrics.hpp"
 #include "triangle/baseline_local.hpp"
 #include "triangle/bucket_join.hpp"
@@ -374,6 +375,8 @@ TEST(BucketJoin, MatchesExactAcrossPlaneShapes) {
       edges.push_back(pack_edge(b, a));
     }
     JoinScratch js;
+    BucketScratch& bs = BucketScratch::for_thread();
+    bs = BucketScratch{};  // this case's largest bucket, not an earlier one
     std::vector<Triangle> got;
     join_proxy_plane(edges, ranker, groups.data(), js, got);
     EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
@@ -383,10 +386,49 @@ TEST(BucketJoin, MatchesExactAcrossPlaneShapes) {
     EXPECT_EQ(got, triangles_exact(builder.build()))
         << "p=" << cs.p << " edges=" << cs.edges;
     // Bucket buffers hold one bucket, never the p copies of the plane.
-    EXPECT_LE(js.u.size(), edges.size()) << "p=" << cs.p;
+    EXPECT_LE(bs.u.size(), edges.size()) << "p=" << cs.p;
     total += got.size();
   }
   EXPECT_GT(total, 100u);  // the grid is not vacuous
+}
+
+// The walk runs as nested chunks over contiguous ranges of its first pair
+// group.  Inside a wide epoch the chunks spread over helper threads, each
+// with its own bucket buffers; the raw output must still be the inline
+// (single-thread, chunks in order) walk's, and exact.
+TEST(BucketJoin, ChunkedWalkMatchesInlineWalkAtAnyWidth) {
+  Rng rng(41);
+  for (const std::uint32_t p : {9u, 23u}) {
+    const TripleRanker ranker(p);
+    const std::size_t n = 400;
+    std::vector<std::uint32_t> groups(n);
+    for (auto& g : groups) g = static_cast<std::uint32_t>(rng.next_below(p));
+    GraphBuilder builder(n);
+    std::vector<std::uint64_t> plane;
+    for (const auto& [a, b] : planted_edges(n, 4000, rng)) {
+      builder.add_edge(a, b);
+      plane.push_back(pack_edge(a, b));
+    }
+    ASSERT_GE(std::uint64_t{p} * plane.size(), congest::kNestedWorkFloor);
+    const auto join_at = [&](int threads) {
+      std::vector<std::uint64_t> edges = plane;
+      std::vector<Triangle> got;
+      congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+        JoinScratch js;
+        join_proxy_plane(edges, ranker, groups.data(), js, got);
+      });
+      return got;
+    };
+    const auto inline_walk = join_at(1);
+    auto sorted = inline_walk;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, triangles_exact(builder.build())) << "p=" << p;
+    EXPECT_GT(sorted.size(), 100u);
+    for (const int threads : {2, 8}) {
+      EXPECT_EQ(join_at(threads), inline_walk)
+          << "p=" << p << " threads=" << threads;
+    }
+  }
 }
 
 // Input order and repeats do not show: every edge twice, shuffled, joins
@@ -435,12 +477,14 @@ TEST(BucketJoin, OversizedPlaneIsACheckError) {
     const std::vector<std::uint32_t> groups = {0, 1};
     std::vector<std::uint64_t> edges = {pack_edge(0, 1)};
     JoinScratch js;
+    const std::size_t bucket_capacity =
+        BucketScratch::for_thread().u.capacity();
     std::vector<Triangle> out;
     EXPECT_THROW(join_proxy_plane(edges, ranker, groups.data(), js, out),
                  CheckError);
     EXPECT_EQ(js.pair_ends.capacity(), 0u);
     EXPECT_EQ(js.pair_edges.capacity(), 0u);
-    EXPECT_EQ(js.u.capacity(), 0u);
+    EXPECT_EQ(BucketScratch::for_thread().u.capacity(), bucket_capacity);
   }
   {
     // R = C(2902, 3) ≈ 4.07e9 fits, but 1.5M edges × 2900 copies do not.
@@ -458,12 +502,14 @@ TEST(BucketJoin, OversizedPlaneIsACheckError) {
                            static_cast<VertexId>(i + 1));
     }
     JoinScratch js;
+    const std::size_t bucket_capacity =
+        BucketScratch::for_thread().u.capacity();
     std::vector<Triangle> out;
     EXPECT_THROW(join_proxy_plane(edges, ranker, groups.data(), js, out),
                  CheckError);
     EXPECT_EQ(js.pair_ends.capacity(), 0u);
     EXPECT_EQ(js.pair_edges.capacity(), 0u);
-    EXPECT_EQ(js.u.capacity(), 0u);
+    EXPECT_EQ(BucketScratch::for_thread().u.capacity(), bucket_capacity);
   }
 }
 

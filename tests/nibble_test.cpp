@@ -5,11 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "congest/scheduler.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "sparsecut/distributed_nibble.hpp"
 #include "sparsecut/nibble_params.hpp"
+#include "sparsecut/parallel_nibble.hpp"
 #include "sparsecut/random_nibble.hpp"
 #include "util/check.hpp"
 
@@ -237,6 +241,78 @@ TEST(RandomNibble, Lemma6ExpectedOverlap) {
   EXPECT_GE(static_cast<double>(overlap) / trials,
             static_cast<double>(volume(g, s)) /
                 (8.0 * static_cast<double>(g.volume())));
+}
+
+// ParallelNibble's fan-out draws every (start, scale) first and runs the
+// k ApproximateNibble calls as nested chunks: at any width it must match k
+// sequential random_nibble calls on the same stream -- the selected prefix
+// union, the per-edge overlap (counted here with hash sets, edge by edge),
+// and the generator state it leaves behind.
+TEST(ParallelNibble, FanOutMatchesSequentialRandomNibble) {
+  Rng grng(21);
+  const std::vector<Graph> graphs = {
+      gen::ring_of_cliques(30, 12),
+      gen::dumbbell_expanders(300, 300, 6, 2, grng)};
+  std::size_t cuts = 0;
+  for (const Graph& g : graphs) {
+    auto prm = NibbleParams::practical(0.08, g.num_edges(), g.volume());
+    prm.k_instances = 12;
+    prm.overlap_cap = 1000;
+    ASSERT_GE(prm.k_instances * g.volume(), congest::kNestedWorkFloor);
+
+    Rng want_rng(5);
+    std::vector<RandomNibbleResult> runs;
+    for (std::uint64_t i = 0; i < prm.k_instances; ++i) {
+      runs.push_back(random_nibble(g, prm, want_rng));
+    }
+    std::unordered_map<EdgeId, int> participation;
+    int want_overlap = 0;
+    for (const auto& run : runs) {
+      std::unordered_set<EdgeId> mine;
+      for (const VertexId v : run.inner.touched) {
+        g.for_each_live_incident(v,
+                                 [&](EdgeId e, VertexId) { mine.insert(e); });
+      }
+      for (const EdgeId e : mine) {
+        want_overlap = std::max(want_overlap, ++participation[e]);
+      }
+    }
+    const double z = (23.0 / 24.0) * static_cast<double>(g.volume());
+    std::vector<char> member(g.num_vertices(), 0);
+    std::uint64_t union_volume = 0;
+    std::uint64_t want_used = 0;
+    for (const auto& run : runs) {
+      std::uint64_t added = 0;
+      for (const VertexId v : run.inner.cut) {
+        added += member[v] ? 0 : g.degree(v);
+      }
+      if (run.inner.found() &&
+          static_cast<double>(union_volume + added) > z) {
+        break;
+      }
+      for (const VertexId v : run.inner.cut) member[v] = 1;
+      union_volume += added;
+      ++want_used;
+    }
+    const VertexSet want_cut = VertexSet::from_bitmap(member);
+    cuts += want_cut.empty() ? 0 : 1;
+    ASSERT_GT(want_overlap, 1) << "instances should overlap";
+
+    for (const int threads : {1, 2, 8}) {
+      congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+        Rng rng(5);
+        congest::RoundLedger ledger;
+        const auto got = parallel_nibble(g, prm, rng, ledger);
+        EXPECT_EQ(got.max_overlap, want_overlap) << "threads=" << threads;
+        EXPECT_EQ(got.instances, prm.k_instances);
+        EXPECT_EQ(got.instances_used, want_used) << "threads=" << threads;
+        EXPECT_EQ(got.cut, want_cut) << "threads=" << threads;
+        Rng after = want_rng;
+        EXPECT_EQ(rng(), after()) << "threads=" << threads;
+      });
+    }
+  }
+  EXPECT_GT(cuts, 0u) << "the graphs should yield a selected cut";
 }
 
 TEST(DistributedWalk, MatchesCentralizedExactly) {

@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -471,6 +473,187 @@ TEST(EpochScheduler, FailedEpochLeavesThePoolReadyForTheNext) {
   congest::EpochScheduler::run_partitioned(
       16, 4, [&](int, std::size_t, std::size_t) { slots.fetch_add(1); });
   EXPECT_EQ(slots.load(), 4);
+}
+
+// ------------------------------------------------------- nested regions
+
+/// Work well above kNestedWorkFloor, so regions are posted to the pool.
+constexpr std::uint64_t kBigWork = congest::kNestedWorkFloor * 16;
+
+/// Spins (yielding) until `done()` or a 10 s deadline; returns done().
+template <typename Pred>
+bool wait_for(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return done();
+}
+
+TEST(NestedRegion, WidthIsTheEnclosingEpochsThreadCount) {
+  EXPECT_EQ(congest::nested_width(), 1);
+  for (const int threads : {1, 2, 8}) {
+    // A one-item epoch runs inline, and its item still gets the width.
+    congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+      EXPECT_EQ(congest::nested_width(), threads);
+      std::vector<int> seen(40, 0);
+      congest::parallel_chunks(seen.size(), kBigWork, [&](std::size_t c) {
+        seen[c] = congest::nested_width();
+      });
+      EXPECT_EQ(seen, std::vector<int>(40, threads));
+    });
+    congest::EpochScheduler(threads).run(5, [&](std::size_t) {
+      EXPECT_EQ(congest::nested_width(), threads);
+    });
+    EXPECT_EQ(congest::nested_width(), 1);
+  }
+  congest::RoundLedger root;
+  congest::run_epoch(0, root, 2, [](std::size_t, congest::RoundLedger&) {
+    EXPECT_EQ(congest::nested_width(), 1);
+  });
+}
+
+// Pool idle: a one-item epoch at width 8 leaves every worker parked, so the
+// region's chunks spread over the caller and its helpers; results are the
+// serial ones at every width, and every chunk runs exactly once.
+TEST(NestedRegion, IdlePoolChunksMatchSerialAtAnyWidth) {
+  constexpr std::size_t kChunks = 97;
+  std::vector<std::uint64_t> serial(kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c) serial[c] = item_value(c, 5);
+  for (const int threads : {1, 2, 8}) {
+    std::vector<std::uint64_t> got(kChunks, 0);
+    std::vector<std::atomic<int>> hits(kChunks);
+    congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+      congest::parallel_chunks(kChunks, kBigWork, [&](std::size_t c) {
+        hits[c].fetch_add(1);
+        got[c] = item_value(c, 5);
+      });
+    });
+    EXPECT_EQ(got, serial) << "threads=" << threads;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      ASSERT_EQ(hits[c].load(), 1) << "threads=" << threads << " chunk " << c;
+    }
+  }
+}
+
+TEST(NestedRegion, ParkedWorkersHelpTheCaller) {
+  for (const int threads : {2, 8}) {
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> helped{false};
+    std::atomic<bool> caller_waited{false};
+    congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+      congest::parallel_chunks(64, kBigWork, [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          helped = true;
+        } else if (!caller_waited.exchange(true)) {
+          // Hold the caller on its first chunk until a helper shows up.
+          (void)wait_for([&] { return helped.load(); });
+        }
+      });
+    });
+    EXPECT_TRUE(helped.load()) << "threads=" << threads;
+  }
+}
+
+// Below the work floor, or with one chunk, a region never leaves the
+// calling thread, whatever the width.
+TEST(NestedRegion, SmallRegionsRunInline) {
+  congest::EpochScheduler(8).run(1, [&](std::size_t) {
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    congest::parallel_chunks(50, congest::kNestedWorkFloor - 1,
+                             [&](std::size_t c) {
+                               EXPECT_EQ(std::this_thread::get_id(), caller);
+                               order.push_back(c);
+                             });
+    std::vector<std::size_t> expect(50);
+    std::iota(expect.begin(), expect.end(), std::size_t{0});
+    EXPECT_EQ(order, expect);
+    congest::parallel_chunks(1, kBigWork, [&](std::size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+  });
+}
+
+// Pool busy: every item of a wide epoch opens its own region while the
+// other items hold the workers; helpers are whoever is parked (maybe
+// nobody), and the outputs are the serial ones.
+TEST(NestedRegion, BusyPoolRegionsMatchSerial) {
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 33;
+  std::vector<std::uint64_t> serial(kOuter * kInner);
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    for (std::size_t j = 0; j < kInner; ++j) {
+      serial[i * kInner + j] = item_value(i, j);
+    }
+  }
+  for (const int threads : {1, 2, 8}) {
+    std::vector<std::uint64_t> got(kOuter * kInner, 0);
+    congest::EpochScheduler(threads).run(kOuter, [&](std::size_t i) {
+      congest::parallel_chunks(kInner, kBigWork, [&](std::size_t j) {
+        // A region nested in a chunk: width carries down, results hold.
+        congest::parallel_chunks(2, kBigWork, [&](std::size_t h) {
+          if (h == 0) got[i * kInner + j] = item_value(i, j);
+        });
+      });
+    });
+    EXPECT_EQ(got, serial) << "threads=" << threads;
+  }
+}
+
+// A worker whose own items are done parks and then helps the epoch's
+// remaining item with its region.
+TEST(NestedRegion, WorkersJoinAfterTheirOwnItemsFinish) {
+  constexpr std::size_t kItems = 4;
+  std::atomic<std::size_t> short_done{0};
+  std::atomic<bool> helped{false};
+  std::atomic<bool> all_short_done{false};
+  congest::EpochScheduler(4).run(kItems, [&](std::size_t i) {
+    if (i != 0) {
+      short_done.fetch_add(1);
+      return;
+    }
+    all_short_done = wait_for([&] { return short_done.load() == kItems - 1; });
+    const auto owner = std::this_thread::get_id();
+    std::atomic<bool> owner_waited{false};
+    congest::parallel_chunks(64, kBigWork, [&](std::size_t) {
+      if (std::this_thread::get_id() != owner) {
+        helped = true;
+      } else if (!owner_waited.exchange(true)) {
+        (void)wait_for([&] { return helped.load(); });
+      }
+    });
+  });
+  EXPECT_TRUE(all_short_done.load());
+  EXPECT_TRUE(helped.load());
+}
+
+// A throwing chunk: every other chunk still runs, the first exception
+// surfaces once they are done, and the pool serves the next region.
+TEST(NestedRegion, ThrowingChunkPropagatesAfterEveryChunkRan) {
+  for (const int threads : {1, 2, 8}) {
+    congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+      std::vector<std::atomic<int>> hits(48);
+      EXPECT_THROW(
+          congest::parallel_chunks(hits.size(), kBigWork,
+                                   [&](std::size_t c) {
+                                     hits[c].fetch_add(1);
+                                     if (c == 5 || c == 31) {
+                                       throw std::runtime_error("chunk");
+                                     }
+                                   }),
+          std::runtime_error)
+          << "threads=" << threads;
+      for (std::size_t c = 0; c < hits.size(); ++c) {
+        ASSERT_EQ(hits[c].load(), 1) << "threads=" << threads << " c=" << c;
+      }
+      std::atomic<int> clean{0};
+      congest::parallel_chunks(48, kBigWork,
+                               [&](std::size_t) { clean.fetch_add(1); });
+      EXPECT_EQ(clean.load(), 48);
+    });
+  }
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "congest/scheduler.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
 #include "spectral/fiedler.hpp"
 #include "spectral/mixing.hpp"
 #include "spectral/sweep.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace xd::spectral {
@@ -223,6 +226,149 @@ TEST(Fiedler, ExpanderHasLargeConductance) {
   ASSERT_TRUE(cut.has_value());
   EXPECT_GT(cut->conductance, 0.1);
   EXPECT_LT(cut->lambda2, 0.95);
+}
+
+// λ₂ has one convention: the sweep reports the value the eigenvalue
+// estimate returns (0 on collapse, else clamped to [0, 1]) -- on lazy K_2
+// the raw Rayleigh quotient reads -1.6e-16.
+TEST(Fiedler, LambdaMatchesSecondEigenvalueOnTinyGraphs) {
+  for (const Graph& g : {gen::complete(2), gen::path(3), gen::star(4)}) {
+    const auto cut = fiedler_sweep(g);
+    ASSERT_TRUE(cut.has_value()) << g.num_vertices();
+    EXPECT_EQ(cut->lambda2, lazy_second_eigenvalue(g)) << g.num_vertices();
+    EXPECT_GE(cut->lambda2, 0.0);
+    EXPECT_LE(cut->lambda2, 1.0);
+  }
+}
+
+// ------------------------------------------- the chunked Graph SpMV
+
+/// Today's push loop over one Graph: senders ascending, each depositing
+/// p/2 at itself, then p/(2 deg) along every slot.
+std::vector<double> push_step(const Graph& g, const std::vector<double>& p) {
+  std::vector<double> next(g.num_vertices(), 0.0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (p[v] == 0.0) continue;
+    const double deg = g.degree(v);
+    XD_CHECK_MSG(deg > 0, "walk mass on an isolated vertex " << v);
+    next[v] += p[v] / 2.0;
+    const double share = p[v] / (2.0 * deg);
+    for (const VertexId u : g.neighbors(v)) next[u] += share;
+  }
+  return next;
+}
+
+/// The power loop as it was written around push_step.
+PowerIterate push_power_iteration(const Graph& g, int iterations) {
+  const std::size_t n = g.num_vertices();
+  const double vol = static_cast<double>(g.volume());
+  std::vector<double> top(n);
+  for (VertexId v = 0; v < n; ++v) top[v] = std::sqrt(g.degree(v) / vol);
+  PowerIterate out;
+  std::vector<double>& y = out.y;
+  y.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    y[v] = ((v * 2654435761u) % 1000) / 1000.0 - 0.5;
+  }
+  const auto deflate = [&](std::vector<double>& vec) {
+    double dot = 0;
+    for (std::size_t i = 0; i < n; ++i) dot += vec[i] * top[i];
+    for (std::size_t i = 0; i < n; ++i) vec[i] -= dot * top[i];
+  };
+  deflate(y);
+  for (int it = 0; it < iterations; ++it) {
+    double sum_sq = 0;
+    for (const double x : y) sum_sq += x * x;
+    const double len = std::sqrt(sum_sq);
+    if (len < 1e-300) {
+      out.collapsed = true;
+      break;
+    }
+    for (double& x : y) x /= len;
+    std::vector<double> x(n);
+    for (VertexId v = 0; v < n; ++v) {
+      x[v] = y[v] * std::sqrt(static_cast<double>(g.degree(v)));
+    }
+    x = push_step(g, x);
+    for (VertexId v = 0; v < n; ++v) {
+      const double d = g.degree(v);
+      x[v] = d > 0 ? x[v] / std::sqrt(d) : 0.0;
+    }
+    deflate(x);
+    double dot = 0;
+    for (std::size_t i = 0; i < n; ++i) dot += x[i] * y[i];
+    out.lambda = dot;
+    y = std::move(x);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out(xs.size());
+  std::memcpy(out.data(), xs.data(), xs.size() * sizeof(double));
+  return out;
+}
+
+/// Loops, parallel edges and isolated vertices, with enough slots that
+/// the power loop's SpMV splits into several chunks.
+Graph messy_multigraph() {
+  Rng rng(77);
+  constexpr std::size_t kN = 6000;
+  GraphBuilder b(kN, /*allow_parallel=*/true);
+  for (VertexId v = 0; v + 10 < kN; ++v) {  // the last 10 stay isolated
+    for (int k = 0; k < 4; ++k) {
+      const auto u = static_cast<VertexId>(rng.next_below(kN - 10));
+      b.add_edge(v, u);  // u == v adds a loop
+      if (k == 0 && v % 5 == 0) b.add_edge(v, u);  // a parallel copy
+    }
+    if (v % 7 == 0) b.add_loops(v, 1 + v % 3);
+  }
+  return b.build();
+}
+
+TEST(LazyWalk, GraphGatherMatchesPushBitForBit) {
+  Rng rng(3);
+  const std::vector<Graph> graphs = {
+      messy_multigraph(), gen::preferential_attachment(8000, 3, rng),
+      gen::complete(2)};
+  for (const Graph& g : graphs) {
+    std::vector<double> p(g.num_vertices(), 0.0);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (g.degree(v) > 0) p[v] = 1.0 / (1.0 + v % 13) - (v % 3 == 0 ? 0.2 : 0);
+    }
+    EXPECT_EQ(bits(lazy_step(g, lazy_step(g, p))),
+              bits(push_step(g, push_step(g, p))))
+        << "n=" << g.num_vertices();
+    if (g.degree(g.num_vertices() - 1) == 0) {
+      std::vector<double> bad = p;
+      bad.back() = 0.5;  // mass on a vertex of degree 0
+      EXPECT_THROW((void)lazy_step(g, bad), CheckError);
+      EXPECT_THROW((void)push_step(g, bad), CheckError);
+    }
+  }
+}
+
+TEST(Mixing, PowerIterateMatchesPushLoopBitForBitAtAnyWidth) {
+  Rng rng(4);
+  const std::vector<Graph> graphs = {
+      messy_multigraph(), gen::preferential_attachment(8000, 3, rng),
+      gen::complete(2), gen::cycle(9)};
+  // The first two split into several 2^14-slot chunks.
+  ASSERT_GT(graphs[0].volume(), 2u * (1u << 14));
+  ASSERT_GT(graphs[1].volume(), 2u * (1u << 14));
+  for (const Graph& g : graphs) {
+    const PowerIterate want = push_power_iteration(g, 120);
+    for (const int threads : {1, 2, 8}) {
+      congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+        const PowerIterate got = lazy_power_iteration(g, 120);
+        EXPECT_EQ(bits({got.lambda}), bits({want.lambda}))
+            << "n=" << g.num_vertices() << " threads=" << threads;
+        EXPECT_EQ(got.collapsed, want.collapsed);
+        EXPECT_EQ(bits(got.y), bits(want.y))
+            << "n=" << g.num_vertices() << " threads=" << threads;
+      });
+    }
+  }
 }
 
 }  // namespace

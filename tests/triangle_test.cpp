@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "congest/scheduler.hpp"
 #include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
@@ -261,6 +262,55 @@ TEST(ClusterEnum, FlatMatchesOracleAcrossGrid) {
   }
 }
 
+// The demand stream and the plane are built in nested edge-range chunks
+// (a counting pass, then an in-place fill): inside a wide epoch the
+// router must still see exactly the spec's stream, and the cluster its
+// exact triangles.
+TEST(ClusterEnum, ChunkedDemandStreamMatchesSpecAtAnyWidth) {
+  Rng grng(5);
+  const Graph g = gen::gnp(600, 0.05, grng);
+  const std::size_t n = g.num_vertices();
+  constexpr std::uint32_t p = 6;
+  std::vector<std::uint32_t> groups(n);
+  for (auto& gr : groups) gr = static_cast<std::uint32_t>(grng.next_below(p));
+  std::vector<VertexId> members;
+  std::vector<char> in_cluster(n, 0);
+  std::vector<VertexId> to_local_vec(n, 0);
+  for (VertexId v = 0; v < n; v += 2) {
+    in_cluster[v] = 1;
+    to_local_vec[v] = static_cast<VertexId>(members.size());
+    members.push_back(v);
+  }
+  std::vector<EdgeId> edge_ids;
+  GraphBuilder cluster_graph(n);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.edge(e);
+    if (in_cluster[u] || in_cluster[v]) {
+      edge_ids.push_back(e);
+      cluster_graph.add_edge(u, v);
+    }
+  }
+  ASSERT_GT(edge_ids.size(), 2 * 2048u);  // several edge chunks
+  const auto want = expected_demands(g, edge_ids, in_cluster, to_local_vec,
+                                     groups, p, members);
+  const auto want_tris = ground_truth(cluster_graph.build());
+  ASSERT_FALSE(want_tris.empty());
+  for (const int threads : {1, 2, 8}) {
+    congest::EpochScheduler(threads).run(1, [&](std::size_t) {
+      auto& scratch = TriangleScratch::for_thread();
+      scratch.to_local.begin_epoch(n);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        scratch.to_local.put(members[i], static_cast<VertexId>(i));
+      }
+      RecordingRouter router;
+      const auto tris = enumerate_cluster(g, edge_ids, groups, p, router,
+                                          members, scratch);
+      EXPECT_EQ(router.log, want) << "threads=" << threads;
+      EXPECT_EQ(tris, want_tris) << "threads=" << threads;
+    });
+  }
+}
+
 // The arena must serve every cluster from retained storage: after a warmup
 // run at this ambient size, a full enumeration performs zero O(n)
 // allocations -- every stamped epoch is a reuse hit.
@@ -279,6 +329,7 @@ TEST(ClusterEnum, ScratchArenaReusedAcrossClustersAndLevels) {
   const auto plane_buffers = [] {
     const auto& s = TriangleScratch::for_thread();
     const auto& js = s.join;
+    const auto& bs = BucketScratch::for_thread();
     const auto buf = [](const auto& vec) {
       return std::pair{static_cast<const void*>(vec.data()), vec.capacity()};
     };
@@ -287,10 +338,10 @@ TEST(ClusterEnum, ScratchArenaReusedAcrossClustersAndLevels) {
         {"edges", buf(s.edges)},
         {"pair_ends", buf(js.pair_ends)},
         {"pair_edges", buf(js.pair_edges)},
-        {"u", buf(js.u)},
-        {"v", buf(js.v)},
-        {"run_u", buf(js.run_u)},
-        {"matches", buf(js.matches)}};
+        {"u", buf(bs.u)},
+        {"v", buf(bs.v)},
+        {"run_u", buf(bs.run_u)},
+        {"matches", buf(bs.matches)}};
   };
 
   (void)run();  // warm the calling thread's arena at ambient size n
@@ -309,10 +360,11 @@ TEST(ClusterEnum, ScratchArenaReusedAcrossClustersAndLevels) {
   // edge: the edge list's capacity is under twice the largest cluster's
   // edge count m, so the bound below is under that cluster's p·m copies.
   const auto& s = TriangleScratch::for_thread();
+  const auto& bs = BucketScratch::for_thread();
   const auto p = static_cast<std::size_t>(
       std::ceil(std::cbrt(static_cast<double>(g.num_vertices()))));
-  EXPECT_GT(s.join.u.capacity(), 0u);
-  EXPECT_LT(s.join.u.capacity(), p * s.edges.capacity() / 2);
+  EXPECT_GT(bs.u.capacity(), 0u);
+  EXPECT_LT(bs.u.capacity(), p * s.edges.capacity() / 2);
   // Exactly one stamped epoch per enumerated cluster, every one a reuse
   // hit served from the retained slab.
   EXPECT_EQ(after.reused - warm.reused, res.clusters_processed);
