@@ -323,7 +323,10 @@ std::string run_e4d_large(std::size_t scale, const std::string& input,
     csr_ms = r == 0 ? ms : std::min(csr_ms, ms);
   }
 
-  // Attribution pass: both joins once, with timing on.
+  // Attribution pass: both joins once, with timing on.  The thread's bucket
+  // buffers start empty, so afterwards they hold this join's largest bucket
+  // (the "work" cell): outside any epoch every chunk runs on this thread.
+  triangle::BucketScratch::for_thread() = {};
   triangle::intersect::reset_thread_stats();
   triangle::intersect::set_timing_enabled(true);
   bucket_join();

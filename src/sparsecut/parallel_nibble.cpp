@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
-#include "congest/scheduler.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
 #include "util/check.hpp"
@@ -66,42 +66,46 @@ ParallelNibbleResult parallel_nibble(const G& g, const NibbleParams& prm,
   ledger.charge(diameter + static_cast<std::uint64_t>(prm.ell) + 1,
                 "ParallelNibble/generate");
 
-  // Every instance's (start, scale) is drawn first, in instance order:
-  // exactly the draws k sequential random_nibble calls make.  The k
-  // ApproximateNibble runs then go out as nested chunks, each also listing
-  // the edges its instance participates in (incident to a vertex that
-  // ever carried truncated mass, Definition 2), once each: an edge with
-  // both endpoints touched is listed from its smaller endpoint.
-  std::vector<RandomNibbleResult> runs(k);
-  for (RandomNibbleResult& run : runs) {
-    run.start = sample_by_degree(g, rng);
-    run.scale = rng.next_nibble_scale(prm.ell);
-  }
-  std::vector<std::vector<EdgeId>> participating(k);
-  congest::parallel_chunks(k, k * total_volume, [&](std::size_t i) {
-    RandomNibbleResult& run = runs[i];
-    run.inner = approximate_nibble(g, run.start, prm, run.scale);
-    const std::vector<VertexId>& touched = run.inner.touched;
+  // --- Overlap guard: the most instances any one edge participates in.  An
+  // edge participates in an instance iff it is incident to a vertex that
+  // ever carried truncated mass (Definition 2).  Each instance lists its
+  // edges once -- an edge with both endpoints touched from its smaller
+  // endpoint -- sorts them and merges them into `counts`, the sorted
+  // (edge, instances) list, so only that list and one instance's edges are
+  // held at a time. ---
+  std::vector<RandomNibbleResult> runs;
+  runs.reserve(k);
+  std::vector<EdgeId> mine;
+  std::vector<std::pair<EdgeId, int>> counts;
+  std::vector<std::pair<EdgeId, int>> merged;
+  int max_overlap = 0;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    runs.push_back(random_nibble(g, prm, rng));
+    const std::vector<VertexId>& touched = runs.back().inner.touched;
+    mine.clear();
     for (const VertexId v : touched) {
       g.for_each_live_incident(v, [&](EdgeId e, VertexId w) {
         if (w > v || !std::binary_search(touched.begin(), touched.end(), w)) {
-          participating[i].push_back(e);
+          mine.push_back(e);
         }
       });
     }
-  });
+    std::sort(mine.begin(), mine.end());
+    merged.clear();
+    merged.reserve(counts.size() + mine.size());
+    auto c = counts.begin();
+    for (const EdgeId e : mine) {
+      for (; c != counts.end() && c->first < e; ++c) merged.push_back(*c);
+      const int n =
+          (c != counts.end() && c->first == e ? (c++)->second : 0) + 1;
+      merged.emplace_back(e, n);
+      max_overlap = std::max(max_overlap, n);
+    }
+    merged.insert(merged.end(), c, counts.end());
+    counts.swap(merged);
+  }
   out.instances = k;
-  // The overlap guard: the most instances any one edge participates in,
-  // counted as the longest run of equal ids in the sorted concatenation.
-  std::vector<EdgeId> all;
-  for (const auto& mine : participating) {
-    all.insert(all.end(), mine.begin(), mine.end());
-  }
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0, j = 0; i < all.size(); i = j) {
-    while (j < all.size() && all[j] == all[i]) ++j;
-    out.max_overlap = std::max(out.max_overlap, static_cast<int>(j - i));
-  }
+  out.max_overlap = max_overlap;
 
   // --- Multiplexed execution cost: slowest instance x observed overlap. ---
   std::uint64_t max_instance = 1;
@@ -113,11 +117,11 @@ ParallelNibbleResult parallel_nibble(const G& g, const NibbleParams& prm,
   }
   ledger.count_messages(messages);
   ledger.charge(max_instance * static_cast<std::uint64_t>(
-                                   std::max(1, std::min(out.max_overlap,
+                                   std::max(1, std::min(max_overlap,
                                                         prm.overlap_cap))),
                 "ParallelNibble/nibbles");
 
-  if (out.max_overlap > prm.overlap_cap) {
+  if (max_overlap > prm.overlap_cap) {
     // Endpoints broadcast the abort token: O(D).
     ledger.charge(diameter + 1, "ParallelNibble/select");
     out.overlap_aborted = true;

@@ -1,7 +1,6 @@
 #include "spectral/lazy_walk.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "graph/graph_view.hpp"
 #include "util/check.hpp"
@@ -13,27 +12,14 @@ std::vector<double> lazy_step(const G& g, const std::vector<double>& p) {
   const std::size_t n = g.num_vertices();
   XD_CHECK(p.size() == n);
   std::vector<double> next(n, 0.0);
-  if constexpr (std::is_same_v<G, Graph>) {
-    std::vector<double> share(n);
-    for (const VertexId v : g.vertices()) {
-      const double deg = g.degree(v);
-      XD_CHECK_MSG(p[v] == 0.0 || deg > 0,
-                   "walk mass on an isolated vertex " << v);
-      share[v] = deg > 0 ? p[v] / (2.0 * deg) : 0.0;
-    }
-    for (const VertexId u : g.vertices()) {
-      next[u] = gather::at(g, p.data(), share.data(), u);
-    }
-  } else {
-    for (const VertexId v : g.vertices()) {
-      if (p[v] == 0.0) continue;
-      const double deg = g.degree(v);
-      XD_CHECK_MSG(deg > 0, "walk mass on an isolated vertex " << v);
-      next[v] += p[v] / 2.0;
-      const double share = p[v] / (2.0 * deg);
-      for (VertexId u : g.neighbors(v)) {
-        next[u] += share;  // u == v for loop/masked slots: deposits back
-      }
+  for (const VertexId v : g.vertices()) {
+    if (p[v] == 0.0) continue;
+    const double deg = g.degree(v);
+    XD_CHECK_MSG(deg > 0, "walk mass on an isolated vertex " << v);
+    next[v] += p[v] / 2.0;
+    const double share = p[v] / (2.0 * deg);
+    for (VertexId u : g.neighbors(v)) {
+      next[u] += share;  // u == v for loop/masked slots: deposits back
     }
   }
   return next;

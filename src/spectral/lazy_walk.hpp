@@ -27,15 +27,14 @@ namespace xd::spectral {
 
 /// One dense lazy-walk step: returns M p.  Dense vectors are indexed by the
 /// ambient id space (p must be zero off the active set of a view).  Throws
-/// CheckError when p puts mass on an isolated vertex.  A view pushes each
-/// sender's mass along its slots; a Graph gathers it with gather::at, the
-/// same sums in the same order.
+/// CheckError when p puts mass on an isolated vertex.  Each sender, in
+/// ascending order, pushes p/2 to itself and p/(2 deg) along every slot.
 template <GraphAccess G>
 std::vector<double> lazy_step(const G& g, const std::vector<double>& p);
 
-/// The one Graph SpMV, shared by lazy_step<Graph> and the power loop
-/// (mixing.hpp), which fuses its own per-vertex scaling around it and runs
-/// it over vertex chunks (congest::parallel_chunks).
+/// The power loop's Graph SpMV (mixing.hpp): a gather, so the loop can run
+/// it over vertex chunks (congest::parallel_chunks), each output written by
+/// one thread, and still get lazy_step's sums bit for bit.
 namespace gather {
 
 /// (M p)(u), given share[w] = p[w] / (2 deg w) for every sender w: the
