@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "graph/metrics.hpp"
+#include "graph/subgraph.hpp"
 #include "spectral/fiedler.hpp"
 #include "spectral/mixing.hpp"
 #include "util/check.hpp"
@@ -49,22 +50,21 @@ VerificationReport verify_decomposition(const Graph& g,
   // (3) Component conductance Φ(G{V_i}) on the live view (removed edges as
   // loops -- the graph the final sparse-cut call certified).
   //
-  // The per-component work used to route through one GraphView each, whose
-  // constructor and materialize() both touch O(n) state (the full mask and
-  // from_parent arrays) -- O(n · #components) total, quadratic on
+  // One GraphView per component would touch O(n) state each (the full mask
+  // and from_parent arrays) -- O(n · #components) total, quadratic on
   // decompositions that shatter the graph.  Instead: one O(n + m) pass
-  // decides the vacuous cases and assigns local ranks, and one global
-  // adjacency sweep feeds per-component GraphBuilders in exactly the slot
-  // order materialize() would use (ambient loops in place, live w > v
-  // edges in slot order, substitution loops appended), so the oracle
-  // inputs stay bit-identical to the old per-view path.
+  // decides the vacuous cases from the counts, and label_subgraphs (the
+  // batch entry of the one subgraph builder, graph/subgraph.hpp) copies
+  // every remaining component in one adjacency sweep.  Each copy equals
+  // live_subgraph on that component bit for bit -- the same slot order
+  // GraphView::materialize() uses -- so the oracle inputs match the
+  // per-view path exactly.
   const std::uint32_t num_comps = static_cast<std::uint32_t>(
       result.num_components);
   std::vector<ComponentQuality> quality(num_comps);
-  std::vector<std::uint32_t> local_rank(n, 0);
   for (VertexId v = 0; v < n; ++v) {
     ComponentQuality& q = quality[result.component[v]];
-    local_rank[v] = static_cast<std::uint32_t>(q.size++);
+    ++q.size;
     q.volume += g.degree(v);
   }
   std::vector<std::uint64_t> live_internal(num_comps, 0);
@@ -76,49 +76,26 @@ VerificationReport verify_decomposition(const Graph& g,
     }
   }
 
-  // Builders only for components that need an oracle; everything else is
+  // Copies only for components that need an oracle; everything else is
   // vacuous straight from the counts.
-  std::vector<std::uint32_t> builder_of(num_comps,
-                                        static_cast<std::uint32_t>(-1));
-  std::vector<GraphBuilder> builders;
+  std::vector<char> needs_oracle(num_comps, 0);
   for (std::uint32_t c = 0; c < num_comps; ++c) {
     quality[c].id = c;
-    if (quality[c].size > 1 && live_internal[c] > 0) {
-      builder_of[c] = static_cast<std::uint32_t>(builders.size());
-      builders.emplace_back(quality[c].size, /*allow_parallel=*/true);
-    }
+    needs_oracle[c] = quality[c].size > 1 && live_internal[c] > 0;
   }
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint32_t c = result.component[v];
-    const std::uint32_t b = builder_of[c];
-    if (b == static_cast<std::uint32_t>(-1)) continue;
-    const VertexId nv = local_rank[v];
-    const auto nbrs = g.neighbors(v);
-    const auto eids = g.incident_edges(v);
-    std::uint32_t loops = 0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
-      if (w == v) {
-        builders[b].add_edge(nv, nv);
-      } else if (result.removed_edge[eids[i]] || result.component[w] != c) {
-        ++loops;  // removed or boundary edge -> substitution loop
-      } else if (w > v) {
-        builders[b].add_edge(nv, local_rank[w]);
-      }
-    }
-    builders[b].add_loops(nv, loops);
-  }
+  const std::vector<LiveSubgraph> parts = label_subgraphs(
+      g, result.removed_edge, result.component, needs_oracle);
 
   report.min_conductance_lower = std::numeric_limits<double>::infinity();
   for (std::uint32_t c = 0; c < num_comps; ++c) {
     ComponentQuality& q = quality[c];
-    if (builder_of[c] == static_cast<std::uint32_t>(-1)) {
+    if (!needs_oracle[c]) {
       // Singletons (and edgeless parts) expand vacuously.
       q.conductance_lower = std::numeric_limits<double>::infinity();
       q.conductance_upper = std::numeric_limits<double>::infinity();
       q.exact = true;
     } else {
-      const Graph live = builders[builder_of[c]].build();
+      const Graph& live = parts[c].graph;
       if (q.size <= 14) {
         q.conductance_lower = conductance_exact(live);
         q.conductance_upper = q.conductance_lower;

@@ -24,9 +24,10 @@
 ///
 /// Determinism contract: `vertices()` ascends, `neighbors(v)` follows
 /// ambient slot order, and `for_each_live_edge` visits in (u ascending,
-/// slot) order -- exactly the order the materializing constructors in
-/// subgraph.hpp emit edges.  That order-congruence is what keeps view-based
-/// and materialized runs bit-identical (see docs/graph_views.md).
+/// slot) order -- exactly the order in which the one subgraph builder
+/// (subgraph.hpp) emits live edges, in both its G{U} and G[U] modes.  That
+/// order-congruence is what keeps view-based and materialized runs
+/// bit-identical (see docs/graph_views.md).
 
 #include <concepts>
 #include <cstdint>

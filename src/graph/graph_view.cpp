@@ -43,90 +43,4 @@ std::uint32_t GraphView::loops_at(VertexId v) const {
   return loops;
 }
 
-LiveSubgraph GraphView::materialize() const {
-  // Mirrors live_subgraph (subgraph.cpp) step for step so the two paths
-  // stay bit-identical -- the property tests pin this equivalence.
-  LiveSubgraph out;
-  const std::size_t n = g_->num_vertices();
-  out.from_parent.assign(n, LiveSubgraph::kAbsent);
-  out.to_parent.assign(active_.size(), 0);
-  std::size_t next = 0;
-  for (const VertexId v : active_) {
-    out.from_parent[v] = static_cast<VertexId>(next);
-    out.to_parent[next] = v;
-    ++next;
-  }
-
-  GraphBuilder b(active_.size(), /*allow_parallel=*/true);
-  std::vector<EdgeId> provenance;
-  for (const VertexId v : active_) {
-    const VertexId nv = out.from_parent[v];
-    const auto nbrs = g_->neighbors(v);
-    const auto eids = g_->incident_edges(v);
-    std::uint32_t loops = 0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
-      const EdgeId e = eids[i];
-      if (w == v) {
-        XD_CHECK_MSG(!is_removed(e), "self-loops are never removed");
-        b.add_edge(nv, nv);
-        provenance.push_back(e);
-      } else if (is_removed(e) || !mask_[w]) {
-        ++loops;  // removed edge or boundary edge -> substitution loop
-      } else if (w > v) {
-        b.add_edge(nv, out.from_parent[w]);
-        provenance.push_back(e);
-      }
-    }
-    for (std::uint32_t i = 0; i < loops; ++i) {
-      b.add_edge(nv, nv);
-      provenance.push_back(LiveSubgraph::kNoEdge);
-    }
-  }
-  out.graph = b.build();
-  out.edge_to_parent = std::move(provenance);
-  XD_CHECK(out.edge_to_parent.size() == out.graph.num_edges());
-  return out;
-}
-
-LiveSubgraph GraphView::materialize_induced() const {
-  // Mirrors induced_subgraph (subgraph.cpp): masked slots are dropped, so
-  // boundary/removed incidences lower the local degree instead of looping.
-  LiveSubgraph out;
-  const std::size_t n = g_->num_vertices();
-  out.from_parent.assign(n, LiveSubgraph::kAbsent);
-  out.to_parent.assign(active_.size(), 0);
-  std::size_t next = 0;
-  for (const VertexId v : active_) {
-    out.from_parent[v] = static_cast<VertexId>(next);
-    out.to_parent[next] = v;
-    ++next;
-  }
-
-  GraphBuilder b(active_.size(), /*allow_parallel=*/true);
-  std::vector<EdgeId> provenance;
-  for (const VertexId v : active_) {
-    const VertexId nv = out.from_parent[v];
-    const auto nbrs = g_->neighbors(v);
-    const auto eids = g_->incident_edges(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
-      const EdgeId e = eids[i];
-      if (w == v) {
-        if (!is_removed(e)) {
-          b.add_edge(nv, nv);
-          provenance.push_back(e);
-        }
-      } else if (w > v && mask_[w] && !is_removed(e)) {
-        b.add_edge(nv, out.from_parent[w]);
-        provenance.push_back(e);
-      }
-    }
-  }
-  out.graph = b.build();
-  out.edge_to_parent = std::move(provenance);
-  XD_CHECK(out.edge_to_parent.size() == out.graph.num_edges());
-  return out;
-}
-
 }  // namespace xd

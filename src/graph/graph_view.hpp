@@ -27,8 +27,9 @@
 /// Materialization still exists, but only where a dense renumbering
 /// genuinely pays for itself -- the CONGEST Network / engine boundary and
 /// the routing structures -- via explicit materialize() (G{U}, loop
-/// substitution) or materialize_induced() (plain G[U]), both returning the
-/// provenance-carrying LiveSubgraph.
+/// substitution) or materialize_induced() (plain G[U]).  Both are the one
+/// subgraph builder of subgraph.hpp run on the view's overlay, so they
+/// return its provenance-carrying LiveSubgraph in its slot order.
 ///
 /// Lifetimes: a view *borrows* its ambient graph, its removed overlay, and
 /// nothing else; both must outlive the view (the CI AddressSanitizer job
@@ -135,17 +136,22 @@ class GraphView {
     }
   }
 
-  /// Materializes G{U} as a renumbered CSR with provenance maps --
-  /// bit-identical to live_subgraph(ambient, removed, U).  The *only*
-  /// sanctioned copy points are the Network/engine boundary (a dense
-  /// renumbering pays for itself there) and sub-n oracle math.
-  [[nodiscard]] LiveSubgraph materialize() const;
+  /// Materializes G{U} as a renumbered CSR with provenance maps: the one
+  /// subgraph builder (subgraph.hpp) over this view's overlay, so it *is*
+  /// live_subgraph(ambient, removed, U).  The *only* sanctioned copy points
+  /// are the Network/engine boundary (a dense renumbering pays for itself
+  /// there) and sub-n oracle math.
+  [[nodiscard]] LiveSubgraph materialize() const {
+    return subgraph(*g_, removed_, active_, Boundary::kLoop);
+  }
 
   /// Materializes the plain induced G[U]: masked slots are dropped instead
-  /// of looped (boundary degrees shrink).  Bit-identical to
-  /// induced_subgraph(ambient, U) when the view has no removed overlay.
-  /// Routing structures want this topology.
-  [[nodiscard]] LiveSubgraph materialize_induced() const;
+  /// of looped (boundary degrees shrink); induced_subgraph(ambient, U) when
+  /// the view has no removed overlay.  Routing structures want this
+  /// topology.
+  [[nodiscard]] LiveSubgraph materialize_induced() const {
+    return subgraph(*g_, removed_, active_, Boundary::kDrop);
+  }
 
   /// Narrowed view over the same ambient graph and overlay; `u` must be a
   /// subset of this view's active set (ambient ids).

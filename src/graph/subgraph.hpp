@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file subgraph.hpp
-/// Induced subgraphs G[S] and the paper's degree-preserving G{S}, plus edge
-/// removal with loop substitution (the decomposition's Remove-1/2/3 steps
-/// never change any degree).
+/// The one subgraph builder: induced subgraphs G[S], the paper's
+/// degree-preserving G{S} under an edge-removal overlay (the
+/// decomposition's Remove-1/2/3 steps never change any degree), per-label
+/// batches of G{S}, and edge-list subgraphs -- all returning LiveSubgraph.
 
 #include <vector>
 
@@ -13,54 +14,67 @@
 
 namespace xd {
 
-/// A subgraph together with the vertex renumbering used to build it.
-struct SubgraphMap {
-  Graph graph;
-  /// new id -> parent id (size = graph.num_vertices()).
-  std::vector<VertexId> to_parent;
-  /// parent id -> new id, or kAbsent when the parent vertex is not in S.
-  std::vector<VertexId> from_parent;
-
-  static constexpr VertexId kAbsent = static_cast<VertexId>(-1);
-};
-
-/// G[S]: induced subgraph on S; self-loops of members are kept, degrees of
-/// boundary vertices shrink.
-SubgraphMap induced_subgraph(const Graph& g, const VertexSet& s);
-
-/// G{S}: induced subgraph on S with one self-loop added per boundary edge
-/// lost, so deg_{G{S}}(v) == deg_G(v) for every v in S (paper, §1
-/// Terminology).
-SubgraphMap induced_with_loops(const Graph& g, const VertexSet& s);
-
-/// Removes the flagged edges, adding one self-loop at *both* endpoints of
-/// every removed non-loop edge (the paper's edge-removal discipline: "we add
-/// a self loop at both u and v, and so the degree of a vertex never
-/// changes").  Vertex ids are preserved.  Removing a self-loop is forbidden.
-///
-/// \param removed bitmap indexed by EdgeId of g.
-Graph remove_edges_with_loops(const Graph& g, const std::vector<char>& removed);
-
-/// G{U} materialized against an ambient graph with an edge-removal overlay,
-/// keeping edge provenance.  This is the decomposition driver's working
-/// view: removed edges and boundary edges both appear as self-loops (so
-/// every degree matches the ambient graph), and each surviving non-loop
-/// edge knows its ambient EdgeId.
+/// A subgraph copied out of a parent graph, with its provenance: the one
+/// result type of every subgraph builder below.  Local vertex ids follow
+/// the builder's vertex order; local EdgeIds follow its emission order.
 struct LiveSubgraph {
   Graph graph;
-  std::vector<VertexId> to_parent;    ///< local -> ambient vertex id
-  std::vector<VertexId> from_parent;  ///< ambient -> local, kAbsent outside U
-  /// Local EdgeId -> ambient EdgeId; kNoEdge for substitution loops.
+  std::vector<VertexId> to_parent;  ///< local -> parent vertex id
+  /// parent -> local, kAbsent outside the subgraph.  Left empty by
+  /// label_subgraphs (one O(n) array per part is what it avoids).
+  std::vector<VertexId> from_parent;
+  /// Local EdgeId -> parent EdgeId; kNoEdge for substitution loops.
   std::vector<EdgeId> edge_to_parent;
 
   static constexpr VertexId kAbsent = static_cast<VertexId>(-1);
   static constexpr EdgeId kNoEdge = static_cast<EdgeId>(-1);
 };
 
-/// Builds G{U} of (g minus removed edges).  `removed` is indexed by g's
-/// EdgeIds; self-loops of g must not be flagged.
-LiveSubgraph live_subgraph(const Graph& g, const std::vector<char>& removed,
-                           const VertexSet& u);
+/// What happens to a *lost* slot of a member vertex -- one whose edge is
+/// removed, or whose neighbor lies outside the vertex set.
+enum class Boundary {
+  kLoop,  ///< G{U}: one substitution loop per lost slot, degrees preserved
+  kDrop,  ///< G[U]: lost slots vanish, boundary degrees shrink
+};
+
+/// The single-part subgraph builder of (g minus removed) on U; `removed` is
+/// indexed by g's EdgeIds (nullptr = nothing removed) and must never flag a
+/// self-loop of g (CheckError in either mode).  Local ids ascend with the
+/// parent ids of U.  Slot-order contract, shared by label_subgraphs and by
+/// GraphView::for_each_live_edge: members in ascending order, and per
+/// member v its ambient loops and its live edges {v, w} with w > v in slot
+/// order, then (kLoop) its substitution loops.
+LiveSubgraph subgraph(const Graph& g, const std::vector<char>* removed,
+                      const VertexSet& u, Boundary boundary);
+
+/// G{U} of (g minus removed): removed and boundary edges both become
+/// self-loops, so every degree matches g (paper, §1 Terminology: "we add a
+/// self loop at both u and v, and so the degree of a vertex never
+/// changes").
+inline LiveSubgraph live_subgraph(const Graph& g,
+                                  const std::vector<char>& removed,
+                                  const VertexSet& u) {
+  return subgraph(g, &removed, u, Boundary::kLoop);
+}
+
+/// G[S]: induced subgraph on S; self-loops of members are kept, degrees of
+/// boundary vertices shrink.
+inline LiveSubgraph induced_subgraph(const Graph& g, const VertexSet& s) {
+  return subgraph(g, nullptr, s, Boundary::kDrop);
+}
+
+/// G{V_c} of (g minus removed) for every label c with wanted[c], in one
+/// O(n + m) pass; label[v] < wanted.size() for every vertex.  Part c equals
+/// live_subgraph(g, removed, {v : label[v] == c}) bit for bit, except that
+/// its from_parent stays empty; unwanted parts stay default-constructed.
+std::vector<LiveSubgraph> label_subgraphs(
+    const Graph& g, const std::vector<char>& removed,
+    const std::vector<std::uint32_t>& label, const std::vector<char>& wanted);
+
+/// The subgraph formed by an edge list of g: its vertices are the edges'
+/// endpoints, numbered at first sight in list order, and local EdgeId i is
+/// edges[i].  No slot rule applies, so no loop is substituted.
+LiveSubgraph edge_subgraph(const Graph& g, const std::vector<EdgeId>& edges);
 
 /// Connected components, treating self-loops as irrelevant.  Generic over
 /// GraphAccess: on a GraphView only active vertices are labeled (inactive
@@ -71,12 +85,5 @@ LiveSubgraph live_subgraph(const Graph& g, const std::vector<char>& removed,
 template <GraphAccess G>
 std::pair<std::vector<std::uint32_t>, std::size_t> connected_components(
     const G& g);
-
-/// Splits g into one SubgraphMap per connected component, each equal to
-/// induced_subgraph on the component (components have no boundary edges, so
-/// G[S] == G{S}).  Single-pass: vertices are bucketed by component id and
-/// every adjacency is scanned exactly once, instead of a VertexSet +
-/// induced-subgraph rebuild per component.
-std::vector<SubgraphMap> component_subgraphs(const Graph& g);
 
 }  // namespace xd

@@ -29,7 +29,7 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
     out.iterations = i;
 
     // G{W_{i-1}} as a zero-copy overlay: same degrees, |E|, and volume a
-    // materialized induced_with_loops would report, no CSR rebuilt per
+    // materialized live_subgraph would report, no CSR rebuilt per
     // restart.  Cut ids come back in g's own id space.
     const GraphView sub = restrict_view(g, VertexSet::from_bitmap(in_w));
     if (sub.volume() == 0) break;

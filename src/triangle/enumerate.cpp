@@ -22,40 +22,6 @@ namespace {
 /// Safety cap on E* recursion levels.
 constexpr int kMaxLevels = 40;
 
-/// Builds the subgraph induced by an edge subset (vertices = endpoints).
-struct EdgeSubgraph {
-  Graph graph;
-  std::vector<VertexId> to_parent;
-  std::vector<VertexId> from_parent;
-  std::vector<EdgeId> edge_to_parent;
-};
-
-EdgeSubgraph subgraph_of_edges(const Graph& g, const std::vector<EdgeId>& edges) {
-  EdgeSubgraph out;
-  out.from_parent.assign(g.num_vertices(), static_cast<VertexId>(-1));
-  out.to_parent.reserve(std::min<std::size_t>(2 * edges.size(), g.num_vertices()));
-  out.edge_to_parent.reserve(edges.size());
-  // One pass over the edge list: assign local ids at first sight and record
-  // each edge's local endpoints for the builder.
-  std::vector<std::pair<VertexId, VertexId>> local_edges;
-  local_edges.reserve(edges.size());
-  for (const EdgeId e : edges) {
-    const auto [u, v] = g.edge(e);
-    for (const VertexId x : {u, v}) {
-      if (out.from_parent[x] == static_cast<VertexId>(-1)) {
-        out.from_parent[x] = static_cast<VertexId>(out.to_parent.size());
-        out.to_parent.push_back(x);
-      }
-    }
-    local_edges.emplace_back(out.from_parent[u], out.from_parent[v]);
-    out.edge_to_parent.push_back(e);
-  }
-  GraphBuilder b(out.to_parent.size(), /*allow_parallel=*/true);
-  for (const auto& [lu, lv] : local_edges) b.add_edge(lu, lv);
-  out.graph = b.build();
-  return out;
-}
-
 /// Merges a level's (unsorted concatenation of per-cluster sorted) batch
 /// into the running sorted, deduplicated triangle list -- the flat
 /// replacement for the seed's global std::set.
@@ -151,11 +117,11 @@ CongestEnumResult enumerate_congest(
     // Level 0 is g itself: no copy, level ids are ambient ids, and the
     // decomposition draws from its own fork (or is the caller's).  Levels
     // >= 1 copy the E* subgraph and decompose it with the main stream.
-    EdgeSubgraph sub;
+    LiveSubgraph sub;
     expander::DecompositionResult own;
     const expander::DecompositionResult* decomp = level0;
     if (level > 0) {
-      sub = subgraph_of_edges(g, current);
+      sub = edge_subgraph(g, current);
       own = expander_decomposition(sub.graph, dprm, rng, ledger);
       decomp = &own;
     } else if (decomp == nullptr) {
@@ -290,7 +256,7 @@ CongestEnumResult enumerate_congest(
       // No shrink (pathological split): finish the remainder as one
       // charged cluster, with the remainder's diameter standing in for
       // τ_mix, to guarantee termination.
-      const EdgeSubgraph rest = subgraph_of_edges(g, estar);
+      const LiveSubgraph rest = edge_subgraph(g, estar);
       ClusterOut tail = join_cluster(
           rest.graph, rest.to_parent, estar,
           std::max<std::uint32_t>(diameter_double_sweep(rest.graph), 1), rng,

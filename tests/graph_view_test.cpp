@@ -1,7 +1,8 @@
 // GraphView: the zero-copy G{U} overlay must be observationally equivalent
-// to the materializing constructors (induced_with_loops / live_subgraph)
-// under the monotone renumbering, and the paths that promise to stay
-// view-only must build no intermediate CSR (GraphBuilder::total_builds hook).
+// to the one subgraph builder (live_subgraph / subgraph) under the monotone
+// renumbering, the builder's batch entry must match its single-part entry,
+// and the paths that promise to stay view-only must build no intermediate
+// CSR (GraphBuilder::total_builds hook).
 
 #include <gtest/gtest.h>
 
@@ -110,15 +111,15 @@ TEST_P(GraphViewEquivalence, MatchesLiveSubgraph) {
   }
 }
 
-// GraphView ≡ induced_with_loops when nothing is removed.
-TEST_P(GraphViewEquivalence, MatchesInducedWithLoops) {
+// GraphView ≡ the loop-mode builder when nothing is removed.
+TEST_P(GraphViewEquivalence, MatchesLoopBuilderWithoutRemovals) {
   const auto& [family, n, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) + 777);
   const Graph g = make_family(family, n, rng);
   const Overlay ov = random_overlay(g, rng, 0.5, 0.0);
 
   const GraphView view(g, nullptr, ov.active);
-  const SubgraphMap sub = induced_with_loops(g, ov.active);
+  const LiveSubgraph sub = subgraph(g, nullptr, ov.active, Boundary::kLoop);
 
   ASSERT_EQ(view.num_active(), sub.graph.num_vertices());
   EXPECT_EQ(view.volume(), sub.graph.volume());
@@ -131,32 +132,48 @@ TEST_P(GraphViewEquivalence, MatchesInducedWithLoops) {
   }
 }
 
-// materialize() reproduces live_subgraph bit for bit, and
-// materialize_induced() reproduces induced_subgraph's graph.
-TEST_P(GraphViewEquivalence, MaterializeIsBitIdentical) {
+std::vector<std::pair<VertexId, VertexId>> edge_list(const Graph& g) {
+  std::vector<std::pair<VertexId, VertexId>> out;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) out.push_back(g.edge(e));
+  return out;
+}
+
+// Every part of the batch entry equals the single-part builder on that
+// label's members bit for bit (verify_decomposition relies on this), over
+// random label and removal overlays.
+TEST_P(GraphViewEquivalence, BatchPartsEqualSinglePart) {
   const auto& [family, n, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) + 4242);
   const Graph g = make_family(family, n, rng);
-  const Overlay ov = random_overlay(g, rng, 0.7, 0.1);
-
-  const GraphView view(g, &ov.removed, ov.active);
-  const LiveSubgraph via_view = view.materialize();
-  const LiveSubgraph direct = live_subgraph(g, ov.removed, ov.active);
-  EXPECT_EQ(via_view.to_parent, direct.to_parent);
-  EXPECT_EQ(via_view.from_parent, direct.from_parent);
-  EXPECT_EQ(via_view.edge_to_parent, direct.edge_to_parent);
-  ASSERT_EQ(via_view.graph.num_edges(), direct.graph.num_edges());
-  for (EdgeId e = 0; e < direct.graph.num_edges(); ++e) {
-    EXPECT_EQ(via_view.graph.edge(e), direct.graph.edge(e));
+  const Overlay ov = random_overlay(g, rng, 1.0, 0.15);
+  const std::uint32_t num_labels = 5;
+  std::vector<std::uint32_t> label(g.num_vertices());
+  for (auto& l : label) {
+    l = static_cast<std::uint32_t>(rng.next_below(num_labels));
   }
+  std::vector<char> wanted(num_labels, 1);
+  wanted[rng.next_below(num_labels)] = 0;
 
-  const GraphView plain(g, nullptr, ov.active);
-  const LiveSubgraph induced = plain.materialize_induced();
-  const SubgraphMap ref = induced_subgraph(g, ov.active);
-  EXPECT_EQ(induced.to_parent, ref.to_parent);
-  ASSERT_EQ(induced.graph.num_edges(), ref.graph.num_edges());
-  for (EdgeId e = 0; e < ref.graph.num_edges(); ++e) {
-    EXPECT_EQ(induced.graph.edge(e), ref.graph.edge(e));
+  const auto parts = label_subgraphs(g, ov.removed, label, wanted);
+  ASSERT_EQ(parts.size(), num_labels);
+  for (std::uint32_t c = 0; c < num_labels; ++c) {
+    if (!wanted[c]) {
+      EXPECT_TRUE(parts[c].to_parent.empty());
+      EXPECT_EQ(parts[c].graph.num_vertices(), 0u);
+      continue;
+    }
+    std::vector<VertexId> members;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (label[v] == c) members.push_back(v);
+    }
+    const LiveSubgraph single =
+        live_subgraph(g, ov.removed, VertexSet(std::move(members)));
+    EXPECT_EQ(parts[c].to_parent, single.to_parent) << "label " << c;
+    EXPECT_EQ(parts[c].edge_to_parent, single.edge_to_parent) << "label " << c;
+    EXPECT_EQ(parts[c].graph.num_vertices(), single.graph.num_vertices());
+    EXPECT_EQ(edge_list(parts[c].graph), edge_list(single.graph))
+        << "label " << c;
+    EXPECT_TRUE(parts[c].from_parent.empty());
   }
 }
 
@@ -233,6 +250,56 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "_s" +
              std::to_string(std::get<2>(info.param));
     });
+
+// The builder's exact output, pinned by hand in both boundary modes, on a
+// multigraph with an ambient loop (edge 1), a parallel pair (2, 3), a
+// removed edge (4) and a boundary edge (5), over U = {1, 2, 4}: local
+// ids 0, 1, 2.  Loop mode appends each member's substitution loops after
+// its slots; drop mode emits only the surviving edges, in the same order.
+TEST(SubgraphBuilder, PinnedFixtureBothModes) {
+  GraphBuilder b(6, /*allow_parallel=*/true);
+  b.add_edge(1, 2);  // 0
+  b.add_edge(2, 2);  // 1: ambient loop
+  b.add_edge(2, 4);  // 2
+  b.add_edge(2, 4);  // 3: parallel to 2
+  b.add_edge(1, 4);  // 4: removed
+  b.add_edge(4, 5);  // 5: boundary (5 outside U)
+  b.add_edge(5, 0);  // 6: outside U
+  const Graph g = b.build();
+  std::vector<char> removed(g.num_edges(), 0);
+  removed[4] = 1;
+  const VertexSet u{1, 2, 4};
+  const GraphView view(g, &removed, u);
+
+  using Edges = std::vector<std::pair<VertexId, VertexId>>;
+  constexpr EdgeId kNo = LiveSubgraph::kNoEdge;
+  constexpr VertexId kAbs = LiveSubgraph::kAbsent;
+  const std::vector<VertexId> to_parent{1, 2, 4};
+  const std::vector<VertexId> from_parent{kAbs, 0, 1, kAbs, 2, kAbs};
+
+  const auto expect_loop_mode = [&](const LiveSubgraph& loop) {
+    EXPECT_EQ(edge_list(loop.graph),
+              (Edges{{0, 1}, {0, 0}, {1, 1}, {1, 2}, {1, 2}, {2, 2}, {2, 2}}));
+    EXPECT_EQ(loop.edge_to_parent,
+              (std::vector<EdgeId>{0, kNo, 1, 2, 3, kNo, kNo}));
+    EXPECT_EQ(loop.to_parent, to_parent);
+    EXPECT_EQ(loop.from_parent, from_parent);
+    for (VertexId lv = 0; lv < 3; ++lv) {
+      EXPECT_EQ(loop.graph.degree(lv), g.degree(to_parent[lv]));
+    }
+  };
+  expect_loop_mode(live_subgraph(g, removed, u));
+  expect_loop_mode(view.materialize());
+
+  const auto expect_drop_mode = [&](const LiveSubgraph& drop) {
+    EXPECT_EQ(edge_list(drop.graph), (Edges{{0, 1}, {1, 1}, {1, 2}, {1, 2}}));
+    EXPECT_EQ(drop.edge_to_parent, (std::vector<EdgeId>{0, 1, 2, 3}));
+    EXPECT_EQ(drop.to_parent, to_parent);
+    EXPECT_EQ(drop.from_parent, from_parent);
+  };
+  expect_drop_mode(subgraph(g, &removed, u, Boundary::kDrop));
+  expect_drop_mode(view.materialize_induced());
+}
 
 // The Nibble stack on a view is value-identical to the same stack on the
 // materialized graph (ids mapped): the decomposition's bit-identity rests

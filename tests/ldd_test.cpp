@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
 
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
@@ -212,7 +213,7 @@ TEST(VdVs, ComponentsFarApart) {
   for (char c : mask) vd_count += c;
   if (vd_count == 0) GTEST_SKIP() << "no dense seeds at this scale";
   const VertexSet vd = VertexSet::from_bitmap(mask);
-  const SubgraphMap sub = induced_subgraph(g, vd);
+  const LiveSubgraph sub = induced_subgraph(g, vd);
   auto [comp, count] = connected_components(sub.graph);
   if (count < 2) return;  // merged into one: fine
   // For each pair of components measure distance in g.
@@ -290,6 +291,33 @@ TEST_P(LddTheorem4, GuaranteesAcrossFamiliesAndBeta) {
       expect_theorem4(g, beta, low_diameter_decomposition(net, prm));
     }
   }
+}
+
+TEST_P(LddTheorem4, GuaranteesOnBarbellWithSparseBridge) {
+  // Both sides of the guard at K = 2: at β = 0.9 (a = 177, b = 71 at the
+  // internal β/3) each K_40 end and the bridge within ~a of it are dense,
+  // while a bridge vertex far from both ends sees 2a = 354 ball edges
+  // against |E|/(1.5b) ~ 390, so it lands in V_S.  MPX cuts the middle of
+  // the bridge; inter-cluster edges with both ends in V_D stay.
+  const int seed = GetParam();
+  const Graph g = gen::barbell(40, 40000);
+  RoundLedger ledger;
+  Network net(g, ledger, static_cast<std::uint64_t>(seed) + 300);
+  LddParams prm;
+  prm.beta = 0.9;
+  prm.K = 2.0;
+  const LddResult res = low_diameter_decomposition(net, prm);
+  expect_theorem4(g, prm.beta, res);
+  std::size_t vd = 0;
+  for (const char c : res.guard.in_vd) vd += c;
+  EXPECT_GT(res.guard.seed_vertices, 0u);
+  EXPECT_GT(vd, 0u);
+  EXPECT_LT(vd, g.num_vertices());
+  EXPECT_GT(res.num_cut_edges, 0u);
+  const double tightness = static_cast<double>(res.num_cut_edges) /
+                           (prm.beta * static_cast<double>(g.num_edges()));
+  std::cout << "Theorem 4 tightness (barbell, seed " << seed << "): "
+            << tightness << "\n";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LddTheorem4, ::testing::Values(1, 2, 3, 4, 5));

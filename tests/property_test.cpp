@@ -75,7 +75,7 @@ TEST_P(GraphInvariants, SubgraphDegreePreservation) {
   }
   if (ids.empty()) return;
   const VertexSet s(std::move(ids));
-  const SubgraphMap sub = induced_with_loops(g, s);
+  const LiveSubgraph sub = subgraph(g, nullptr, s, Boundary::kLoop);
   for (std::size_t lv = 0; lv < sub.graph.num_vertices(); ++lv) {
     EXPECT_EQ(sub.graph.degree(static_cast<VertexId>(lv)),
               g.degree(sub.to_parent[lv]));
@@ -87,7 +87,7 @@ TEST_P(GraphInvariants, SubgraphDegreePreservation) {
       half.push_back(v);
     }
     const VertexSet cut(std::move(half));
-    const SubgraphMap plain = induced_subgraph(g, s);
+    const LiveSubgraph plain = induced_subgraph(g, s);
     const double phi_loops = conductance(sub.graph, cut);
     const double phi_plain = conductance(plain.graph, cut);
     if (std::isfinite(phi_plain)) {
@@ -104,7 +104,8 @@ TEST_P(GraphInvariants, RemoveEdgesLeavesDegreesFixed) {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (!g.is_loop(e)) removed[e] = rng.next_bool(0.3);
   }
-  const Graph h = remove_edges_with_loops(g, removed);
+  const VertexSet all = VertexSet::all(g.num_vertices());
+  const Graph h = live_subgraph(g, removed, all).graph;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(h.degree(v), g.degree(v));
   }
