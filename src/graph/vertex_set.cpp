@@ -70,12 +70,4 @@ std::vector<char> VertexSet::bitmap(std::size_t n) const {
   return mask;
 }
 
-VertexSet VertexSet::from_bitmap(const std::vector<char>& mask) {
-  VertexSet out;
-  for (std::size_t v = 0; v < mask.size(); ++v) {
-    if (mask[v]) out.ids_.push_back(static_cast<VertexId>(v));
-  }
-  return out;
-}
-
 }  // namespace xd

@@ -41,9 +41,6 @@ class VertexSet {
   /// Membership bitmap of size n (convenience for linear-scan algorithms).
   [[nodiscard]] std::vector<char> bitmap(std::size_t n) const;
 
-  /// Builds the set {v : mask[v] != 0}.
-  static VertexSet from_bitmap(const std::vector<char>& mask);
-
   friend bool operator==(const VertexSet&, const VertexSet&) = default;
 
  private:

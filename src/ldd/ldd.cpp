@@ -52,18 +52,15 @@ LddResult low_diameter_decomposition(congest::Network& net,
 }
 
 std::uint32_t max_component_diameter(const Graph& g, const LddResult& result) {
-  // Components must be measured with the cut edges gone; per-component
-  // overlay views (cut edges masked to loops, BFS ignores loops) replace
-  // the remainder rebuild + per-component induced subgraphs.
-  std::vector<std::vector<VertexId>> members(result.num_components);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    members[result.component[v]].push_back(v);
-  }
+  // Components must be measured with the cut edges gone: one label pass
+  // copies every component out as its own G{V_c} (cut edges become loops,
+  // which BFS ignores), O(n + m) in all.
+  const std::vector<char> wanted(result.num_components, 1);
   std::uint32_t worst = 0;
-  for (auto& ids : members) {
-    if (ids.size() < 2) continue;
-    const GraphView view(g, &result.cut_edge, VertexSet(std::move(ids)));
-    worst = std::max(worst, diameter_double_sweep(view));
+  for (const LiveSubgraph& part :
+       label_subgraphs(g, result.cut_edge, result.component, wanted)) {
+    if (part.to_parent.size() < 2) continue;
+    worst = std::max(worst, diameter_double_sweep(part.graph));
   }
   return worst;
 }

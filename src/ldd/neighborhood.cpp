@@ -74,23 +74,18 @@ std::uint64_t capped_ball_count(const Graph& g, VertexId source,
   return std::min(count, cap + 1);
 }
 
-int ceil_log2_plus(std::uint64_t x) {
-  int l = 1;
-  std::uint64_t v = 2;
-  while (v < x + 2) {
-    v <<= 1;
-    ++l;
-  }
-  return l;
-}
-
 }  // namespace
 
 std::uint64_t ball_edge_count(const Graph& g, VertexId v, std::uint32_t radius,
                               std::uint64_t cap) {
-  std::vector<std::uint32_t> dist(g.num_vertices(),
-                                  std::numeric_limits<std::uint32_t>::max());
-  std::vector<VertexId> touched;
+  // One distance buffer per thread, all unreached between calls:
+  // capped_ball_count resets exactly the entries it touched, so a call
+  // costs the ball it explores, not n.
+  thread_local std::vector<std::uint32_t> dist;
+  thread_local std::vector<VertexId> touched;
+  if (dist.size() < g.num_vertices()) {
+    dist.resize(g.num_vertices(), std::numeric_limits<std::uint32_t>::max());
+  }
   return capped_ball_count(g, v, radius, nullptr, cap, dist, touched);
 }
 
@@ -170,7 +165,6 @@ std::vector<double> ball_edge_estimate(const Graph& g, std::uint32_t d, double f
     }
     if (all_done) break;
   }
-  (void)ceil_log2_plus;
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 
 #include "congest/engine.hpp"
 #include "primitives/aggregate.hpp"
@@ -122,12 +121,15 @@ std::uint64_t distributed_prefix_cut(
     if (!forest.is_active(v) || forest.root[v] != root) continue;
     if (!(prim::OrderKey{keys[v], v}.precedes_eq(pivot))) continue;
     std::uint64_t outside = 0;
-    std::unordered_map<VertexId, double> known;
-    for (const auto& [w, kw] : nbr_keys[v]) known[w] = kw;
+    // v's received keys arrive sender-ascending (canonical inbox order),
+    // and a sender repeats one key per slot, so any copy found is the key.
+    const auto& known = nbr_keys[v];
     for (const VertexId w : g.neighbors(v)) {
       if (w == v) continue;
-      const auto it = known.find(w);
-      const double kw = it == known.end() ? 0.0 : it->second;
+      const auto it = std::lower_bound(
+          known.begin(), known.end(), w,
+          [](const auto& entry, VertexId id) { return entry.first < id; });
+      const double kw = it != known.end() && it->first == w ? it->second : 0.0;
       if (!(prim::OrderKey{kw, w}.precedes_eq(pivot))) ++outside;
     }
     outside_count[v] = outside;

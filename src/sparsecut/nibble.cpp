@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <iterator>
+#include <numeric>
 
 #include "graph/graph_view.hpp"
 #include "spectral/lazy_walk.hpp"
+#include "spectral/sweep.hpp"
 #include "util/check.hpp"
 
 namespace xd::sparsecut {
@@ -13,88 +15,27 @@ namespace xd::sparsecut {
 namespace {
 
 using spectral::SparseDist;
-
-/// Sweep arrays over the support of a sparse distribution, ordered by
-/// ρ̃ descending with ties by id (paper: "breaking ties arbitrarily, e.g.
-/// by comparing IDs").
-struct SupportSweep {
-  std::vector<VertexId> order;
-  std::vector<double> rho;              // per position
-  std::vector<std::uint64_t> vol;       // prefix volume
-  std::vector<std::uint64_t> cut;       // prefix |∂|
-
-  [[nodiscard]] std::size_t size() const { return order.size(); }
-
-  [[nodiscard]] double conductance(std::size_t j, std::uint64_t total_volume) const {
-    const std::uint64_t v = vol[j - 1];
-    const std::uint64_t rest = total_volume - v;
-    const std::uint64_t denom = std::min(v, rest);
-    if (denom == 0) return std::numeric_limits<double>::infinity();
-    return static_cast<double>(cut[j - 1]) / static_cast<double>(denom);
-  }
-};
-
-template <GraphAccess G>
-SupportSweep build_sweep(const G& g, const SparseDist& dist) {
-  SupportSweep s;
-  const std::size_t k = dist.size();
-  std::vector<std::size_t> idx(k);
-  for (std::size_t i = 0; i < k; ++i) idx[i] = i;
-  std::vector<double> rho(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    rho[i] = dist.mass[i] / g.degree(dist.support[i]);
-  }
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    if (rho[a] != rho[b]) return rho[a] > rho[b];
-    return dist.support[a] < dist.support[b];
-  });
-
-  s.order.resize(k);
-  s.rho.resize(k);
-  s.vol.resize(k);
-  s.cut.resize(k);
-  std::unordered_set<VertexId> in_prefix;
-  in_prefix.reserve(k * 2);
-  std::uint64_t vol = 0;
-  std::int64_t cut = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const VertexId v = dist.support[idx[j]];
-    s.order[j] = v;
-    s.rho[j] = rho[idx[j]];
-    vol += g.degree(v);
-    std::int64_t nonloop = 0;
-    std::int64_t inside = 0;
-    for (VertexId u : g.neighbors(v)) {
-      if (u == v) continue;
-      ++nonloop;
-      if (in_prefix.count(u)) ++inside;
-    }
-    cut += nonloop - 2 * inside;
-    XD_CHECK(cut >= 0);
-    in_prefix.insert(v);
-    s.vol[j] = vol;
-    s.cut[j] = static_cast<std::uint64_t>(cut);
-  }
-  return s;
-}
+using spectral::Sweep;
 
 /// The geometric candidate sequence (j_x) of ApproximateNibble: j_1 = 1 and
 /// j_i = max(j_{i-1}+1, largest j with Vol(1..j) <= (1+φ) Vol(1..j_{i-1})).
-std::vector<std::size_t> candidate_sequence(const SupportSweep& sweep,
-                                            double phi) {
+std::vector<std::size_t> candidate_sequence(const Sweep& sweep, double phi) {
   std::vector<std::size_t> js;
   const std::size_t jmax = sweep.size();
   if (jmax == 0) return js;
   js.push_back(1);
   while (js.back() != jmax) {
     const std::size_t prev = js.back();
-    const double limit = (1.0 + phi) * static_cast<double>(sweep.vol[prev - 1]);
+    const double limit =
+        (1.0 + phi) * static_cast<double>(sweep.prefix_volume[prev - 1]);
     // Largest j with vol <= limit (prefix volumes are increasing).
-    auto it = std::upper_bound(sweep.vol.begin(), sweep.vol.end(), limit,
+    auto it = std::upper_bound(sweep.prefix_volume.begin(),
+                               sweep.prefix_volume.end(), limit,
                                [](double lim, std::uint64_t v) {
                                  return lim < static_cast<double>(v);
                                });
-    const auto by_volume = static_cast<std::size_t>(it - sweep.vol.begin());
+    const auto by_volume =
+        static_cast<std::size_t>(it - sweep.prefix_volume.begin());
     js.push_back(std::max(prev + 1, by_volume));
   }
   return js;
@@ -108,36 +49,28 @@ struct Conditions {
 };
 
 /// Exact (C.1)-(C.3) at prefix j.
-Conditions exact_conditions(const SupportSweep& sweep, std::size_t j,
-                            const NibbleParams& prm, std::uint64_t total_volume,
-                            int b) {
+Conditions exact_conditions(const Sweep& sweep, std::size_t j,
+                            const NibbleParams& prm, int b) {
   Conditions c;
-  c.c1 = sweep.conductance(j, total_volume) <= prm.phi;
-  c.c2 = sweep.rho[j - 1] >=
-         prm.gamma / static_cast<double>(sweep.vol[j - 1]);
-  const double vol = static_cast<double>(sweep.vol[j - 1]);
-  c.c3 = vol <= (5.0 / 6.0) * static_cast<double>(total_volume) &&
+  const double vol = static_cast<double>(sweep.prefix_volume[j - 1]);
+  c.c1 = sweep.conductance(j) <= prm.phi;
+  c.c2 = sweep.rho[j - 1] >= prm.gamma / vol;
+  c.c3 = vol <= (5.0 / 6.0) * static_cast<double>(sweep.total_volume) &&
          vol >= (5.0 / 7.0) * std::ldexp(1.0, b - 1);
   return c;
 }
 
 /// Relaxed (C.1*)-(C.3*) at candidate j_x with predecessor j_{x-1}.
-Conditions starred_conditions(const SupportSweep& sweep, std::size_t jx,
+Conditions starred_conditions(const Sweep& sweep, std::size_t jx,
                               std::size_t jprev, const NibbleParams& prm,
-                              std::uint64_t total_volume, int b) {
+                              int b) {
   Conditions c;
-  c.c1 = sweep.conductance(jx, total_volume) <= prm.star_relax * prm.phi;
-  c.c2 = sweep.rho[jprev - 1] >=
-         prm.gamma / static_cast<double>(sweep.vol[jx - 1]);
-  const double vol = static_cast<double>(sweep.vol[jx - 1]);
-  c.c3 = vol <= (11.0 / 12.0) * static_cast<double>(total_volume) &&
+  const double vol = static_cast<double>(sweep.prefix_volume[jx - 1]);
+  c.c1 = sweep.conductance(jx) <= prm.star_relax * prm.phi;
+  c.c2 = sweep.rho[jprev - 1] >= prm.gamma / vol;
+  c.c3 = vol <= (11.0 / 12.0) * static_cast<double>(sweep.total_volume) &&
          vol >= (5.0 / 7.0) * std::ldexp(1.0, b - 1);
   return c;
-}
-
-VertexSet sweep_prefix_to_set(const SupportSweep& sweep, std::size_t j) {
-  return VertexSet(std::vector<VertexId>(
-      sweep.order.begin(), sweep.order.begin() + static_cast<std::ptrdiff_t>(j)));
 }
 
 /// Relative L1 movement between consecutive truncated distributions, by a
@@ -178,72 +111,69 @@ NibbleResult run_nibble(const G& g, VertexId v, const NibbleParams& prm,
   XD_CHECK_MSG(g.degree(v) > 0, "start vertex " << v << " is isolated");
 
   const double eps = prm.eps_b(b);
-  const std::uint64_t total_volume = g.volume();
 
   NibbleResult result;
-  std::unordered_set<VertexId> touched;
   SparseDist dist = SparseDist::point(v);
-  touched.insert(v);
+  // Every support comes out of truncated_step ascending, so `touched` stays
+  // a sorted vector: each step merges its support in through `merged`.
+  std::vector<VertexId> touched = dist.support;
+  std::vector<VertexId> merged;
+  std::vector<double> rho;
+  std::vector<std::size_t> js;
   int stall_run = 0;
 
   for (int t = 1; t <= prm.t0; ++t) {
-    result.work_volume += [&] {
-      std::uint64_t w = 0;
-      for (VertexId u : dist.support) w += g.degree(u);
-      return w;
-    }();
-    SparseDist prev = dist;
-    dist = spectral::truncated_step(g, dist, eps);
+    for (VertexId u : dist.support) result.work_volume += g.degree(u);
+    SparseDist next = spectral::truncated_step(g, dist, eps);
     result.steps_run = t;
-    if (dist.size() == 0) break;  // all mass truncated away
-    for (VertexId u : dist.support) touched.insert(u);
+    if (next.size() == 0) break;  // all mass truncated away
+    merged.clear();
+    std::set_union(touched.begin(), touched.end(), next.support.begin(),
+                   next.support.end(), std::back_inserter(merged));
+    touched.swap(merged);
 
     if (prm.stall_tolerance > 0.0) {
-      const auto [moved, total] = stall_movement(prev, dist);
+      const auto [moved, total] = stall_movement(dist, next);
       stall_run = (total > 0 && moved / total < prm.stall_tolerance)
                       ? stall_run + 1
                       : 0;
     }
+    dist = std::move(next);
 
-    const SupportSweep sweep = build_sweep(g, dist);
+    rho.resize(dist.size());
+    for (std::size_t i = 0; i < dist.size(); ++i) {
+      rho[i] = dist.mass[i] / g.degree(dist.support[i]);
+    }
+    const Sweep sweep = spectral::sweep_support(g, dist.support, rho);
+    // Exact Nibble tests every prefix 1..size; consecutive candidates take
+    // the exact conditions, so it never reaches the starred ones.
     if (approximate) {
-      const auto js = candidate_sequence(sweep, prm.phi);
-      for (std::size_t x = 0; x < js.size(); ++x) {
-        const std::size_t jx = js[x];
-        ++result.sweep_candidates;
-        const bool boundary = x == 0 || jx == js[x - 1] + 1;
-        const Conditions c =
-            boundary ? exact_conditions(sweep, jx, prm, total_volume, b)
-                     : starred_conditions(sweep, jx, js[x - 1], prm,
-                                          total_volume, b);
-        if (c.all()) {
-          result.cut = sweep_prefix_to_set(sweep, jx);
-          result.t_used = t;
-          result.j_used = jx;
-          result.cut_conductance = sweep.conductance(jx, total_volume);
-          result.cut_volume = sweep.vol[jx - 1];
-          break;
-        }
-      }
+      js = candidate_sequence(sweep, prm.phi);
     } else {
-      for (std::size_t j = 1; j <= sweep.size(); ++j) {
-        ++result.sweep_candidates;
-        if (exact_conditions(sweep, j, prm, total_volume, b).all()) {
-          result.cut = sweep_prefix_to_set(sweep, j);
-          result.t_used = t;
-          result.j_used = j;
-          result.cut_conductance = sweep.conductance(j, total_volume);
-          result.cut_volume = sweep.vol[j - 1];
-          break;
-        }
+      js.resize(sweep.size());
+      std::iota(js.begin(), js.end(), std::size_t{1});
+    }
+    for (std::size_t x = 0; x < js.size(); ++x) {
+      const std::size_t jx = js[x];
+      ++result.sweep_candidates;
+      const bool boundary = x == 0 || jx == js[x - 1] + 1;
+      const Conditions c =
+          boundary ? exact_conditions(sweep, jx, prm, b)
+                   : starred_conditions(sweep, jx, js[x - 1], prm, b);
+      if (c.all()) {
+        result.cut = sweep.prefix(jx);
+        result.t_used = t;
+        result.j_used = jx;
+        result.cut_conductance = sweep.conductance(jx);
+        result.cut_volume = sweep.prefix_volume[jx - 1];
+        break;
       }
     }
     if (result.found()) break;
     if (prm.stall_tolerance > 0.0 && stall_run >= prm.stall_patience) break;
   }
 
-  result.touched.assign(touched.begin(), touched.end());
-  std::sort(result.touched.begin(), result.touched.end());
+  result.touched = std::move(touched);
   return result;
 }
 

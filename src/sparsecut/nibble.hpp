@@ -14,6 +14,12 @@
 /// sequence (j_x), testing the relaxed (C.1*)-(C.3*) at interior candidates
 /// -- the price of distributed implementability (Lemma 9) is a 12x
 /// conductance slack.
+///
+/// Each step's sweep is spectral::sweep_support over the walk's support,
+/// the builder the Fiedler sweep uses too.  Its prefix membership is one
+/// per-thread stamped slab, ambient-sized because a view keeps ambient ids;
+/// the touched set is a sorted vector merged step by step.  Nothing here
+/// hashes.
 
 #include <cstdint>
 #include <limits>

@@ -137,7 +137,7 @@ ParallelNibbleResult parallel_nibble(const G& g, const NibbleParams& prm,
                 "ParallelNibble/select");
 
   const double z = (23.0 / 24.0) * static_cast<double>(total_volume);
-  std::vector<char> member(g.num_vertices(), 0);
+  VertexSet cut_union;
   std::uint64_t union_volume = 0;
   std::uint64_t used = 0;
   for (const auto& run : runs) {
@@ -148,16 +148,16 @@ ParallelNibbleResult parallel_nibble(const G& g, const NibbleParams& prm,
     // Tentatively add C_i; i* is the largest prefix with Vol <= z, so stop
     // *before* the first instance that would overflow.
     std::uint64_t added = 0;
-    for (VertexId v : run.inner.cut) {
-      if (!member[v]) added += g.degree(v);
+    for (VertexId v : run.inner.cut.set_difference(cut_union)) {
+      added += g.degree(v);
     }
     if (static_cast<double>(union_volume + added) > z) break;
-    for (VertexId v : run.inner.cut) member[v] = 1;
+    cut_union = cut_union.set_union(run.inner.cut);
     union_volume += added;
     ++used;
   }
   out.instances_used = used;
-  out.cut = VertexSet::from_bitmap(member);
+  out.cut = std::move(cut_union);
   out.rounds = ledger.rounds() - rounds_before;
   return out;
 }

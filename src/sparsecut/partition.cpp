@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
@@ -19,9 +20,11 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
   const std::uint64_t total_volume = g.volume();
   XD_CHECK(total_volume > 0);
 
-  std::vector<char> in_w(g.num_vertices(), 0);
-  for (const VertexId v : g.vertices()) in_w[v] = 1;
-  std::vector<char> in_c(g.num_vertices(), 0);
+  // W (the vertices no cut has taken yet) and C (the union of the cuts so
+  // far) as sorted sets: each restart merges, nothing scans the ambient ids.
+  const auto vs = g.vertices();
+  VertexSet w(std::vector<VertexId>(vs.begin(), vs.end()));
+  VertexSet c;
   std::uint64_t removed_volume = 0;
   int empty_streak = 0;
 
@@ -31,7 +34,7 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
     // G{W_{i-1}} as a zero-copy overlay: same degrees, |E|, and volume a
     // materialized live_subgraph would report, no CSR rebuilt per
     // restart.  Cut ids come back in g's own id space.
-    const GraphView sub = restrict_view(g, VertexSet::from_bitmap(in_w));
+    const GraphView sub = restrict_view(g, w);
     if (sub.volume() == 0) break;
     const NibbleParams sub_prm =
         prm.rescaled(std::max<std::size_t>(sub.num_edges(), 1), sub.volume());
@@ -60,12 +63,10 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
     }
     empty_streak = 0;
 
-    for (VertexId pv : pn.cut) {
-      XD_CHECK(in_w[pv]);
-      in_w[pv] = 0;
-      in_c[pv] = 1;
-      removed_volume += g.degree(pv);
-    }
+    XD_CHECK(std::includes(w.begin(), w.end(), pn.cut.begin(), pn.cut.end()));
+    for (VertexId pv : pn.cut) removed_volume += g.degree(pv);
+    w = w.set_difference(pn.cut);
+    c = c.set_union(pn.cut);
 
     // Stop when the remaining volume dropped below (47/48) Vol(V).
     if (static_cast<double>(total_volume - removed_volume) <=
@@ -75,7 +76,7 @@ PartitionResult partition(const G& g, const NibbleParams& prm, Rng& rng,
     if (i == prm.max_iterations) out.hit_iteration_cap = true;
   }
 
-  out.cut = VertexSet::from_bitmap(in_c);
+  out.cut = std::move(c);
   if (!out.cut.empty()) {
     out.conductance = conductance(g, out.cut);
     out.balance = balance(g, out.cut);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "graph/graph_view.hpp"
 #include "util/check.hpp"
+#include "util/scratch.hpp"
 
 namespace xd::spectral {
 
@@ -23,48 +25,81 @@ VertexSet Sweep::prefix(std::size_t j) const {
       std::vector<VertexId>(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(j)));
 }
 
+namespace {
+
+/// Prefix membership of the sweep under construction, one slab per thread
+/// shared by every GraphAccess instantiation.
+util::StampedMap<char>& prefix_slab() {
+  thread_local util::StampedMap<char> slab;
+  return slab;
+}
+
+}  // namespace
+
 template <GraphAccess G>
-Sweep sweep_cut(const G& g, const std::vector<double>& rho) {
-  XD_CHECK(rho.size() == g.num_vertices());
-  Sweep s;
-  s.total_volume = g.volume();
-  for (const VertexId v : g.vertices()) {
-    if (rho[v] > 0.0) s.order.push_back(v);
-  }
-  std::sort(s.order.begin(), s.order.end(), [&](VertexId a, VertexId b) {
-    if (rho[a] != rho[b]) return rho[a] > rho[b];
-    return a < b;
+Sweep sweep_support(const G& g, std::span<const VertexId> candidates,
+                    std::span<const double> rho) {
+  XD_CHECK(candidates.size() == rho.size());
+  const std::size_t k = candidates.size();
+  std::vector<std::pair<double, VertexId>> ranked(k);
+  for (std::size_t i = 0; i < k; ++i) ranked[i] = {rho[i], candidates[i]};
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
   });
 
-  s.rho.resize(s.order.size());
-  s.prefix_volume.resize(s.order.size());
-  s.prefix_cut.resize(s.order.size());
+  Sweep s;
+  s.total_volume = g.volume();
+  s.order.resize(k);
+  s.rho.resize(k);
+  s.prefix_volume.resize(k);
+  s.prefix_cut.resize(k);
 
   // Incremental cut maintenance: adding v changes the cut by
   // (non-loop degree of v) - 2 * (edges from v into the prefix so far).
-  std::vector<char> in_prefix(g.num_vertices(), 0);
+  util::StampedMap<char>& in_prefix = prefix_slab();
+  in_prefix.begin_epoch(g.num_vertices());
   std::uint64_t vol = 0;
   std::int64_t cut = 0;
-  for (std::size_t j = 0; j < s.order.size(); ++j) {
-    const VertexId v = s.order[j];
-    s.rho[j] = rho[v];
+  for (std::size_t j = 0; j < k; ++j) {
+    const auto [r, v] = ranked[j];
+    s.order[j] = v;
+    s.rho[j] = r;
     vol += g.degree(v);
     std::int64_t inside = 0;
     std::int64_t nonloop = 0;
     for (VertexId u : g.neighbors(v)) {
       if (u == v) continue;
       ++nonloop;
-      if (in_prefix[u]) ++inside;
+      if (in_prefix.contains(u)) ++inside;
     }
     cut += nonloop - 2 * inside;
     XD_CHECK(cut >= 0);
-    in_prefix[v] = 1;
+    in_prefix.put(v, 1);
     s.prefix_volume[j] = vol;
     s.prefix_cut[j] = static_cast<std::uint64_t>(cut);
   }
   return s;
 }
 
+template <GraphAccess G>
+Sweep sweep_cut(const G& g, const std::vector<double>& rho) {
+  XD_CHECK(rho.size() == g.num_vertices());
+  std::vector<VertexId> candidates;
+  std::vector<double> scores;
+  for (const VertexId v : g.vertices()) {
+    if (rho[v] > 0.0) {
+      candidates.push_back(v);
+      scores.push_back(rho[v]);
+    }
+  }
+  return sweep_support(g, candidates, scores);
+}
+
+template Sweep sweep_support(const Graph&, std::span<const VertexId>,
+                             std::span<const double>);
+template Sweep sweep_support(const GraphView&, std::span<const VertexId>,
+                             std::span<const double>);
 template Sweep sweep_cut(const Graph&, const std::vector<double>&);
 template Sweep sweep_cut(const GraphView&, const std::vector<double>&);
 

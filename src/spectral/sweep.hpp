@@ -6,8 +6,17 @@
 /// and evaluate every prefix π(1..j).  Nibble's conditions (C.1)-(C.3) and
 /// their approximate versions (C.1*)-(C.3*) are all predicates over this
 /// sweep data.
+///
+/// One builder serves both users: sweep_support() takes a candidate list
+/// with one ρ per candidate (Nibble passes its truncated walk's support),
+/// and the dense sweep_cut() (the Fiedler sweep) is a front end that
+/// collects the positive entries of an ambient-indexed ρ.  Prefix
+/// membership lives in one per-thread stamped slab (util::StampedMap)
+/// indexed by VertexId, so it is ambient-sized: a GraphView keeps its
+/// ambient ids.  Starting a sweep is O(1) once the slab has grown.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/access.hpp"
@@ -16,9 +25,9 @@
 
 namespace xd::spectral {
 
-/// Prefix-by-prefix statistics of a sweep over the positive-ρ vertices.
+/// Prefix-by-prefix statistics of a sweep over its candidate vertices.
 struct Sweep {
-  /// Vertices in sweep order π(1), π(2), ... (only those with rho > 0).
+  /// Candidates in sweep order π(1), π(2), ...
   std::vector<VertexId> order;
   /// rho value per sweep position.
   std::vector<double> rho;
@@ -38,11 +47,17 @@ struct Sweep {
   [[nodiscard]] VertexSet prefix(std::size_t j) const;
 };
 
-/// Builds the sweep for score vector rho (dense, ambient-indexed;
-/// non-positive entries are excluded from the ordering).  Generic over
-/// GraphAccess: on a GraphView the prefix cut counts only live edges --
-/// masked slots read as loops and loops never cross.  O(m + support log
-/// support).
+/// Builds the sweep over `candidates` (distinct vertices of g), where
+/// rho[i] scores candidates[i]: every candidate gets a position, ordered by
+/// ρ descending with ties by id.  Generic over GraphAccess: on a GraphView
+/// the prefix cut counts only live edges -- masked slots read as loops and
+/// loops never cross.  O(Vol(candidates) + k log k) for k candidates.
+template <GraphAccess G>
+Sweep sweep_support(const G& g, std::span<const VertexId> candidates,
+                    std::span<const double> rho);
+
+/// The sweep for score vector rho (dense, ambient-indexed): sweep_support
+/// over the vertices with rho > 0.
 template <GraphAccess G>
 Sweep sweep_cut(const G& g, const std::vector<double>& rho);
 

@@ -208,11 +208,12 @@ TEST(VdVs, ComponentsFarApart) {
   const auto part = build_vd_vs(g, 0.9, 1.0, ledger);
 
   // Collect V_D components and check pairwise distance > a.
-  std::vector<char> mask = part.in_vd;
-  std::size_t vd_count = 0;
-  for (char c : mask) vd_count += c;
-  if (vd_count == 0) GTEST_SKIP() << "no dense seeds at this scale";
-  const VertexSet vd = VertexSet::from_bitmap(mask);
+  std::vector<VertexId> vd_ids;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (part.in_vd[v]) vd_ids.push_back(v);
+  }
+  if (vd_ids.empty()) GTEST_SKIP() << "no dense seeds at this scale";
+  const VertexSet vd(std::move(vd_ids));
   const LiveSubgraph sub = induced_subgraph(g, vd);
   auto [comp, count] = connected_components(sub.graph);
   if (count < 2) return;  // merged into one: fine

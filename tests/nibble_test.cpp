@@ -9,11 +9,13 @@
 #include <unordered_set>
 
 #include "graph/generators.hpp"
+#include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
 #include "sparsecut/distributed_nibble.hpp"
 #include "sparsecut/nibble_params.hpp"
 #include "sparsecut/parallel_nibble.hpp"
 #include "sparsecut/random_nibble.hpp"
+#include "spectral/lazy_walk.hpp"
 #include "util/check.hpp"
 
 namespace xd::sparsecut {
@@ -193,6 +195,44 @@ TEST(Nibble, ExpanderYieldsNoLowScaleCut) {
   EXPECT_FALSE(res.found());
 }
 
+// With no cut to stop it early, ApproximateNibble's touched set is exactly
+// the union of the truncated walk's supports over the steps it ran -- on
+// the plain graph and on a view with removed edges and dropped vertices.
+TEST(Nibble, NoCutTouchedIsUnionOfWalkSupports) {
+  Rng rng(5);
+  const Graph g = gen::random_regular(80, 6, rng);
+  std::vector<char> removed(g.num_edges(), 0);
+  for (EdgeId e = 0; e < g.num_edges(); e += 7) removed[e] = 1;
+  std::vector<VertexId> active;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (v % 5 != 4) active.push_back(v);
+  }
+  const GraphView view(g, &removed, VertexSet(std::move(active)));
+  const auto check = [](const auto& graph) {
+    auto prm =
+        NibbleParams::practical(0.02, graph.num_edges(), graph.volume());
+    const int b = 4;
+    // Short walks stop while the support still grows, so the last step's
+    // support adds vertices no earlier one had.
+    for (const int t0 : {1, 2, 3, prm.t0}) {
+      prm.t0 = t0;
+      const NibbleResult res = approximate_nibble(graph, 0, prm, b);
+      ASSERT_FALSE(res.found());
+      std::vector<VertexId> want;
+      for (const auto& dist : spectral::truncated_walk(
+               graph, 0, res.steps_run, prm.eps_b(b))) {
+        want.insert(want.end(), dist.support.begin(), dist.support.end());
+      }
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      EXPECT_EQ(res.touched, want) << "t0=" << t0;
+      EXPECT_GT(want.size(), 1u);
+    }
+  };
+  check(g);
+  check(view);
+}
+
 TEST(RandomNibble, DegreeSampling) {
   Rng rng(7);
   const Graph g = gen::star(9);  // hub degree 8 of volume 16
@@ -276,6 +316,7 @@ TEST(ParallelNibble, MatchesSequentialRandomNibble) {
     }
     const double z = (23.0 / 24.0) * static_cast<double>(g.volume());
     std::vector<char> member(g.num_vertices(), 0);
+    std::vector<VertexId> union_ids;
     std::uint64_t union_volume = 0;
     std::uint64_t want_used = 0;
     for (const auto& run : runs) {
@@ -287,11 +328,14 @@ TEST(ParallelNibble, MatchesSequentialRandomNibble) {
           static_cast<double>(union_volume + added) > z) {
         break;
       }
-      for (const VertexId v : run.inner.cut) member[v] = 1;
+      for (const VertexId v : run.inner.cut) {
+        member[v] = 1;
+        union_ids.push_back(v);
+      }
       union_volume += added;
       ++want_used;
     }
-    const VertexSet want_cut = VertexSet::from_bitmap(member);
+    const VertexSet want_cut(std::move(union_ids));
     cuts += want_cut.empty() ? 0 : 1;
     ASSERT_GT(want_overlap, 1) << "instances should overlap";
 

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <unordered_set>
 
 #include "congest/scheduler.hpp"
 #include "graph/generators.hpp"
+#include "graph/graph_view.hpp"
 #include "graph/metrics.hpp"
 #include "spectral/fiedler.hpp"
 #include "spectral/mixing.hpp"
@@ -367,6 +369,138 @@ TEST(Mixing, PowerIterateMatchesPushLoopBitForBitAtAnyWidth) {
       });
     }
   }
+}
+
+/// The hash-set sweep Nibble built per walk step before it shared
+/// sweep_support: the reference the stamped-slab builder must match.
+template <GraphAccess G>
+Sweep hash_set_sweep(const G& g, const SparseDist& dist) {
+  Sweep s;
+  s.total_volume = g.volume();
+  const std::size_t k = dist.size();
+  std::vector<std::size_t> idx(k);
+  for (std::size_t i = 0; i < k; ++i) idx[i] = i;
+  std::vector<double> rho(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    rho[i] = dist.mass[i] / g.degree(dist.support[i]);
+  }
+  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    if (rho[a] != rho[b]) return rho[a] > rho[b];
+    return dist.support[a] < dist.support[b];
+  });
+  s.order.resize(k);
+  s.rho.resize(k);
+  s.prefix_volume.resize(k);
+  s.prefix_cut.resize(k);
+  std::unordered_set<VertexId> in_prefix;
+  std::uint64_t vol = 0;
+  std::int64_t cut = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const VertexId v = dist.support[idx[j]];
+    s.order[j] = v;
+    s.rho[j] = rho[idx[j]];
+    vol += g.degree(v);
+    std::int64_t nonloop = 0;
+    std::int64_t inside = 0;
+    for (VertexId u : g.neighbors(v)) {
+      if (u == v) continue;
+      ++nonloop;
+      if (in_prefix.count(u)) ++inside;
+    }
+    cut += nonloop - 2 * inside;
+    in_prefix.insert(v);
+    s.prefix_volume[j] = vol;
+    s.prefix_cut[j] = static_cast<std::uint64_t>(cut);
+  }
+  return s;
+}
+
+void expect_same_sweep(const Sweep& got, const Sweep& want) {
+  EXPECT_EQ(got.order, want.order);
+  EXPECT_EQ(bits(got.rho), bits(want.rho));
+  EXPECT_EQ(got.prefix_volume, want.prefix_volume);
+  EXPECT_EQ(got.prefix_cut, want.prefix_cut);
+  EXPECT_EQ(got.total_volume, want.total_volume);
+}
+
+/// A small multigraph (loops, parallel edges) under a view that removes
+/// edges and drops vertices, so sweeps see masked slots read as loops.
+struct MaskedGraph {
+  Graph g;
+  std::vector<char> removed;
+  VertexSet active;
+};
+
+MaskedGraph masked_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  constexpr std::size_t kN = 400;
+  GraphBuilder b(kN, /*allow_parallel=*/true);
+  for (VertexId v = 0; v < kN; ++v) {
+    for (int k = 0; k < 3; ++k) {
+      b.add_edge(v, static_cast<VertexId>(rng.next_below(kN)));
+    }
+    b.add_edge(v, (v + 1) % kN);  // a ring keeps the walk from dying out
+    if (v % 9 == 0) b.add_loops(v, 1 + v % 2);
+  }
+  MaskedGraph out{b.build(), {}, {}};
+  out.removed.assign(out.g.num_edges(), 0);
+  for (EdgeId e = 0; e < out.g.num_edges(); ++e) {
+    if (!out.g.is_loop(e) && rng.next_bool(0.15)) out.removed[e] = 1;
+  }
+  std::vector<VertexId> active;
+  for (VertexId v = 0; v < kN; ++v) {
+    if (v == 0 || rng.next_bool(0.8)) active.push_back(v);
+  }
+  out.active = VertexSet(std::move(active));
+  return out;
+}
+
+// Nibble's per-step sweep: on every support of a truncated walk, over both
+// the masked view and the plain multigraph, the shared builder reproduces
+// the hash-set reference bit for bit.
+TEST(Sweep, SupportBuilderMatchesHashSetReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const MaskedGraph mg = masked_graph(seed);
+    std::size_t widest = 0;
+    const auto check = [&](const auto& g) {
+      for (const SparseDist& dist : truncated_walk(g, 0, 25, 1e-6)) {
+        std::vector<double> rho(dist.size());
+        for (std::size_t i = 0; i < dist.size(); ++i) {
+          rho[i] = dist.mass[i] / g.degree(dist.support[i]);
+        }
+        expect_same_sweep(sweep_support(g, dist.support, rho),
+                          hash_set_sweep(g, dist));
+        widest = std::max(widest, dist.size());
+      }
+    };
+    check(GraphView(mg.g, &mg.removed, mg.active));
+    check(mg.g);
+    EXPECT_GT(widest, 200u) << "seed " << seed;
+  }
+}
+
+// The Fiedler sweep's dense front end equals the core builder over the
+// positive entries, ties included.
+TEST(Sweep, DenseFrontEndEqualsSupportBuilder) {
+  Rng rng(11);
+  const MaskedGraph mg = masked_graph(4);
+  const auto check = [&](const auto& g) {
+    std::vector<double> rho(g.num_vertices());
+    for (auto& x : rho) x = static_cast<double>(rng.next_below(8)) - 2.0;
+    std::vector<VertexId> candidates;
+    std::vector<double> scores;
+    for (const VertexId v : g.vertices()) {
+      if (rho[v] > 0.0) {
+        candidates.push_back(v);
+        scores.push_back(rho[v]);
+      }
+    }
+    ASSERT_GT(candidates.size(), 100u);
+    expect_same_sweep(sweep_cut(g, rho),
+                      sweep_support(g, candidates, scores));
+  };
+  check(GraphView(mg.g, &mg.removed, mg.active));
+  check(mg.g);
 }
 
 }  // namespace

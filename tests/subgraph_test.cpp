@@ -32,7 +32,11 @@ TEST(VertexSet, BitmapRoundTrip) {
   const VertexSet s{0, 2};
   const auto mask = s.bitmap(4);
   EXPECT_EQ(mask, (std::vector<char>{1, 0, 1, 0}));
-  EXPECT_EQ(VertexSet::from_bitmap(mask), s);
+  std::vector<VertexId> ids;
+  for (VertexId v = 0; v < mask.size(); ++v) {
+    if (mask[v]) ids.push_back(v);
+  }
+  EXPECT_EQ(VertexSet(ids), s);
 }
 
 TEST(InducedSubgraph, DropsBoundaryEdges) {
